@@ -70,6 +70,7 @@ from .sketching import (
     Gaussian,
     SketchDistribution,
     SketchSample,
+    Support,
     kaczmarz_distribution,
     stream,
 )

@@ -5,6 +5,11 @@ Pseudoinverses, symmetric eigendecompositions, B-weighted geometry
 Everything here is dense and aimed at desk-scale systems (dimensions
 up to a few thousand); all returned arrays are read-only so instances
 can be shared freely across threads.
+
+The weighted pseudoinverse of an m-by-n system factorizes the m-by-n
+matrix A B^{-1/2}, never the m-by-m core A B^{-1} A', whose condition
+number is the square of it; this is what :class:`Problem` uses for its
+consistency check and projections.
 """
 
 from __future__ import annotations
@@ -64,7 +69,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _svd_pinv(a: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Pseudoinverse of a matrix, or of each matrix in an (..., r, c) stack.
+
+    Singular values at or below ``rel_tol`` times the largest one of the
+    same matrix are treated as zero.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > rel_tol * s[..., :1]
+    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (np.swapaxes(vt, -1, -2) * inv_s[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def pseudoinverse(mat, rel_tol: float | None = None) -> np.ndarray:
@@ -89,10 +107,7 @@ def pseudoinverse(mat, rel_tol: float | None = None) -> np.ndarray:
         rel_tol = np.finfo(float).eps * max(a.shape)
     elif not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = rel_tol * s[0] if s.size else 0.0
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ u.T
+    return _svd_pinv(a, rel_tol)
 
 
 def sym_eigendecomposition(mat, sym_tol: float = 1e-10):
@@ -190,16 +205,21 @@ def b_norm(x, metric: SpdMatrix) -> float:
 def b_pseudoinverse(mat, metric: SpdMatrix) -> np.ndarray:
     """Weighted pseudoinverse B^{-1} M' (M B^{-1} M')^+.
 
-    Reduces to the ordinary Moore-Penrose pseudoinverse when the metric
-    is the identity. ``mat`` must have ``metric.dim`` columns.
+    Computed as B^{-1/2} (M B^{-1/2})^+ from the thin SVD
+    M B^{-1/2} = U S V', without forming the core M B^{-1} M' = U S^2 U'.
+    Singular values are kept where S_i > sqrt(eps * rows) * S_0, that is
+    S_i^2 > eps * rows * S_0^2: the rank decision :func:`pseudoinverse`
+    would make on that core. Reduces to the ordinary Moore-Penrose
+    pseudoinverse when the metric is the identity. ``mat`` must have
+    ``metric.dim`` columns.
     """
     a = _as_matrix(mat)
     if a.shape[1] != metric.dim:
         raise ValueError(
             f"matrix has {a.shape[1]} columns, metric has dimension {metric.dim}"
         )
-    core = a @ metric.inv @ a.T
-    return metric.inv @ a.T @ pseudoinverse(_symmetrize(core))
+    rel_tol = np.sqrt(np.finfo(float).eps * a.shape[0])
+    return metric.inv_sqrt @ _svd_pinv(a @ metric.inv_sqrt, rel_tol)
 
 
 class AffineSystem:

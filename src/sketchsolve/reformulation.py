@@ -15,6 +15,16 @@ measures (half) the squared B-distance from x to the compressed
 solution set, and its average over sketches drives every solver here.
 The spectrum of W = B^{-1/2} E[Z] B^{-1/2} controls all convergence
 rates; eigenvalues always lie in [0, 1].
+
+Expectations never form H. For an index-set sketch S'A is the gathered
+rows C = A[cols] (column signs cancel in both H and Z), so each atom
+needs only its q-by-q gram G = C B^{-1} C' and Z = C' G^+ C. A finite
+support is processed as stacked (N, q, n) row blocks in chunks of
+bounded size: batched grams and pseudoinverses, then E[Z] as one
+contraction per chunk and E[H] as a scatter-add of the q-by-q blocks
+p G^+.
+``sketched_system`` builds the full per-sketch operators and is the
+reference the expectations are tested against.
 """
 
 from __future__ import annotations
@@ -29,11 +39,12 @@ from .linalg import (
     _as_matrix,
     _as_vector,
     _readonly,
+    _svd_pinv,
     _symmetrize,
     pseudoinverse,
     sym_eigendecomposition,
 )
-from .sketching import DEFAULT_SUPPORT_CAP, SketchDistribution, SketchSample, stream
+from .sketching import DEFAULT_SUPPORT_CAP, SketchDistribution, SketchSample, Support, stream
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -52,6 +63,10 @@ __all__ = [
 ]
 
 EXPECTATION_STREAM = 101
+
+# upper bound on the bytes of one chunk of gathered sketch rows (N, q, n)
+# in the stacked expectations; the working set is a few times this
+_CHUNK_BYTES = 1 << 24
 
 
 class DegenerateSpectrumError(ValueError):
@@ -143,6 +158,44 @@ class EstimationInfo:
         return out
 
 
+def _sketched_rows(a: np.ndarray, sketch: SketchSample) -> np.ndarray:
+    """S'A of one sketch as a (1, q, n) stack; index sets gather rows, unsigned."""
+    return (sketch.matrix.T @ a if sketch.cols is None else a[list(sketch.cols)])[None]
+
+
+def _gram_pinvs(rows: np.ndarray, metric: SpdMatrix) -> np.ndarray:
+    """(C B^{-1} C')^+ for each (q, n) block C of a stack, symmetrized.
+
+    Uses the cutoff of :func:`pseudoinverse` on every q-by-q gram.
+    """
+    k, q, n = rows.shape
+    binv_rows = (rows.reshape(-1, n) @ metric.inv).reshape(k, q, n)
+    gram = _symmetrize(rows @ np.swapaxes(binv_rows, -1, -2))
+    return _symmetrize(_svd_pinv(gram, np.finfo(float).eps * q))
+
+
+def _support_chunks(a: np.ndarray, metric: SpdMatrix, support: Support):
+    """Yield (cols, probs, rows, gram pinvs) over the support in bounded chunks.
+
+    Column signs are dropped: with S = P D for a selection P and a
+    diagonal D of +-1, D (D G D)^+ D = G^+, so H and Z do not depend on D.
+    """
+    step = max(1, _CHUNK_BYTES // (8 * support.q * a.shape[1]))
+    for lo in range(0, len(support), step):
+        cols = support.cols[lo : lo + step]
+        rows = a[cols]
+        yield cols, support.probs[lo : lo + step], rows, _gram_pinvs(rows, metric)
+
+
+def _weighted_z_sum(rows: np.ndarray, gram_pinv: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k C_k' G_k^+ C_k as one contraction over the stack.
+
+    einsum adds the atoms one after another, in support order, as a
+    per-atom sum does.
+    """
+    return np.einsum("kqi,kqj->ij", rows, weights[:, None, None] * (gram_pinv @ rows))
+
+
 def expected_Z(
     A,
     metric: SpdMatrix,
@@ -155,30 +208,33 @@ def expected_Z(
 ):
     """Expectation of Z over the sketch distribution.
 
-    Uses the enumerated support (exact weighted sum) when available,
-    otherwise a Monte Carlo mean of ``n_samples`` draws with a reported
-    standard error. The result is symmetrized either way.
+    Uses the enumerated support (exact weighted sum over its stacked
+    atoms) when available, otherwise a Monte Carlo mean of ``n_samples``
+    draws with a reported standard error. Only Z is computed per atom or
+    draw, never H. The result is symmetrized either way.
 
     Returns
     -------
     (ndarray, EstimationInfo)
     """
     a = _as_matrix(A, "A")
-    zeros_rhs = np.zeros(a.shape[0])
+    n = a.shape[1]
     support = dist.support(support_cap)
     if support is not None:
-        ez = np.zeros((a.shape[1], a.shape[1]))
-        for sample, prob in support:
-            ez += prob * sketched_system(a, zeros_rhs, metric, sample).Z
+        ez = np.zeros((n, n))
+        for _, probs, rows, gram_pinv in _support_chunks(a, metric, support):
+            ez += _weighted_z_sum(rows, gram_pinv, probs)
         return _symmetrize(ez), EstimationInfo(kind="exact")
     if n_samples < 2:
         raise ValueError("Monte Carlo estimation needs at least 2 samples")
     if rng is None:
         rng = stream(seed, EXPECTATION_STREAM)
-    mean = np.zeros((a.shape[1], a.shape[1]))
+    mean = np.zeros((n, n))
     m2 = np.zeros_like(mean)
+    one = np.ones(1)
     for k in range(1, n_samples + 1):
-        z = sketched_system(a, zeros_rhs, metric, dist.sample(rng)).Z
+        rows = _sketched_rows(a, dist.sample(rng))
+        z = _symmetrize(_weighted_z_sum(rows, _gram_pinvs(rows, metric), one))
         delta = z - mean
         mean += delta / k
         m2 += delta * (z - mean)
@@ -296,16 +352,20 @@ class Reformulation:
         return self.problem.metric.inv @ (self.expected_Z @ e)
 
     def expected_H(self) -> np.ndarray | None:
-        """E[H] from the enumerated support; None without finite support."""
+        """E[H] from the enumerated support; None without finite support.
+
+        Each atom adds its q-by-q block p G^+ at rows and columns
+        ``cols``; no per-atom m-by-m H is formed.
+        """
         if self._expected_H is None:
             support = self.dist.support()
             if support is None:
                 return None
             eh = np.zeros((self.problem.m, self.problem.m))
-            for sample, prob in support:
-                eh += prob * sketched_system(
-                    self.problem.A, self.problem.b, self.problem.metric, sample
-                ).H
+            chunks = _support_chunks(self.problem.A, self.problem.metric, support)
+            for cols, probs, _, gram_pinv in chunks:
+                index = (cols[:, :, None], cols[:, None, :])
+                np.add.at(eh, index, probs[:, None, None] * gram_pinv)
             self._expected_H = _readonly(_symmetrize(eh))
         return self._expected_H
 
@@ -378,15 +438,15 @@ def check_exactness(reform: Reformulation, tol: float = 1e-8) -> str:
         return "undecidable"
     a = reform.problem.A
     ez = reform.expected_Z
-    sv = np.linalg.svd(a, compute_uv=False)
+    # full V (n by n) only when m < n; otherwise the thin SVD already has it
+    _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank_a = int((sv > tol * sv[0]).sum()) if sv[0] > 0 else 0
-    _, _, vt = np.linalg.svd(a)
     null_a = vt[rank_a:].T
     rank_z, null_z = _null_basis_sym(ez, tol)
     if rank_a != rank_z:
         return "not-exact"
     scale_z = max(float(np.linalg.norm(ez, 2)), 1e-300)
-    scale_a = max(float(np.linalg.norm(a, 2)), 1e-300)
+    scale_a = max(float(sv[0]), 1e-300)
     if null_a.shape[1] and float(np.abs(ez @ null_a).max()) > tol * scale_z:
         return "not-exact"
     if null_z.shape[1] and float(np.abs(a @ null_z).max()) > tol * scale_a:

@@ -3,8 +3,14 @@
 A sketch compresses the system Ax = b to S'Ax = S'b. Each distribution
 can draw samples from a seeded counter-based generator and, when its
 support is a reasonably small finite set, enumerate that support exactly
-(sample, probability) so expectations can be computed without Monte
-Carlo.
+so expectations can be computed without Monte Carlo.
+
+Structured sketches (fixed identity, coordinate, block, count families)
+are index sets: column j of S is ``signs[j] * e_{cols[j]}``, so S'A is a
+gather of signed rows of A and no dense m-by-q matrix is needed. A draw
+carries only ``cols`` and ``signs``; its dense ``matrix`` is built on
+first access. An enumerated support is one :class:`Support`: stacked
+``(N, q)`` column (and sign) arrays with ``(N,)`` probabilities.
 
 Streams are keyed by (master seed, stream ids...) through a Philox
 counter-based bit generator, so concurrent tasks can own disjoint
@@ -15,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "stream",
     "SketchSample",
+    "Support",
     "SketchDistribution",
     "FixedIdentity",
     "Coordinate",
@@ -46,27 +52,46 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True, eq=False)
 class SketchSample:
-    """One drawn sketching matrix.
+    """One drawn sketching matrix S with m rows and q columns.
 
-    For structured draws (coordinate, block, count families) the column
-    indices and signs are kept alongside the dense matrix; ``key`` is a
-    canonical hashable label used to match empirical frequencies against
-    an enumerated support. Column order and signs do not affect the
-    induced operators, so keys are sorted.
+    Either a dense ``matrix`` (Gaussian draws) or an index set: column
+    ``j`` of S is ``signs[j] * e_{cols[j]}`` (signs default to +1), and
+    ``m`` gives the row count. The dense matrix of an index set is built
+    on first access. A dense matrix may also carry ``cols``/``signs`` as
+    a label. ``key`` is a canonical hashable label used to match
+    empirical frequencies against an enumerated support. Column order
+    and signs do not affect the induced operators, so keys are sorted.
     """
 
-    matrix: np.ndarray
-    cols: tuple[int, ...] | None = None
-    signs: tuple[int, ...] | None = None
+    __slots__ = ("_matrix", "cols", "signs", "m")
+
+    def __init__(self, matrix=None, cols=None, signs=None, m: int | None = None):
+        self._matrix = matrix
+        self.cols = None if cols is None else tuple(int(c) for c in cols)
+        self.signs = None if signs is None else tuple(int(s) for s in signs)
+        self.m = m if matrix is None else matrix.shape[0]
+        self.__post_init__()
 
     def __post_init__(self):
-        self.matrix.flags.writeable = False
+        """Freeze a given matrix; an index set must know its row count."""
+        if self._matrix is not None:
+            self._matrix.flags.writeable = False
+        elif self.cols is None or self.m is None:
+            raise ValueError("a sketch needs a matrix, or column indices and a row count m")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            mat = np.zeros((self.m, len(self.cols)))
+            mat[self.cols, np.arange(len(self.cols))] = 1.0 if self.signs is None else self.signs
+            mat.flags.writeable = False
+            self._matrix = mat
+        return self._matrix
 
     @property
     def q(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.cols) if self._matrix is None else self._matrix.shape[1]
 
     @property
     def key(self):
@@ -76,19 +101,35 @@ class SketchSample:
         return tuple(sorted(zip(self.cols, signs)))
 
 
-def _columns_matrix(m: int, cols, signs=None) -> np.ndarray:
-    mat = np.zeros((m, len(cols)))
-    for j, i in enumerate(cols):
-        mat[i, j] = 1.0 if signs is None else float(signs[j])
-    return mat
+class Support:
+    """An enumerated finite sketch distribution, stacked.
 
+    Atom ``k`` is the index-set sketch with columns ``cols[k]`` and
+    signs ``signs[k]`` (None: all +1), drawn with probability
+    ``probs[k]``. ``len`` is the atom count; iterating yields
+    ``(SketchSample, probability)`` pairs of the same atoms in order.
+    """
 
-def _column_sample(m: int, cols, signs=None) -> SketchSample:
-    return SketchSample(
-        _columns_matrix(m, cols, signs),
-        cols=tuple(int(c) for c in cols),
-        signs=None if signs is None else tuple(int(s) for s in signs),
-    )
+    def __init__(self, m: int, cols, probs, signs=None):
+        self.m = int(m)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.probs = np.asarray(probs, dtype=float)
+        self.signs = None if signs is None else np.asarray(signs, dtype=np.intp)
+        for arr in (self.cols, self.probs, self.signs):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @property
+    def q(self) -> int:
+        return self.cols.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def __iter__(self):
+        for k, cols in enumerate(self.cols):
+            signs = None if self.signs is None else self.signs[k]
+            yield SketchSample(cols=cols, signs=signs, m=self.m), float(self.probs[k])
 
 
 def _multiset_probability(counts, alphabet_size: int) -> float:
@@ -99,6 +140,19 @@ def _multiset_probability(counts, alphabet_size: int) -> float:
     return float(coef) / float(alphabet_size) ** q
 
 
+def _multisets(alphabet_size: int, q: int, cap: int):
+    """Stacked q-multisets of range(alphabet_size) and their probabilities.
+
+    A multiset's probability is that of drawing it with q independent
+    uniform draws. None when there are more than ``cap`` multisets.
+    """
+    if math.comb(alphabet_size + q - 1, q) > cap:
+        return None
+    combos = list(itertools.combinations_with_replacement(range(alphabet_size), q))
+    probs = [_multiset_probability([c.count(j) for j in set(c)], alphabet_size) for c in combos]
+    return np.array(combos, dtype=np.intp), np.array(probs)
+
+
 class SketchDistribution:
     """Base class: a distribution over sketching matrices with m rows."""
 
@@ -107,15 +161,12 @@ class SketchDistribution:
     def sample(self, rng: np.random.Generator) -> SketchSample:
         raise NotImplementedError
 
-    def support(self, cap: int = DEFAULT_SUPPORT_CAP):
-        """Enumerated support as [(sample, probability), ...], or None.
+    def support(self, cap: int = DEFAULT_SUPPORT_CAP) -> Support | None:
+        """Enumerated support, or None.
 
         None means the support is continuous or larger than ``cap``.
         """
         return None
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> list[SketchSample]:
-        return [self.sample(rng) for _ in range(count)]
 
 
 class FixedIdentity(SketchDistribution):
@@ -125,13 +176,13 @@ class FixedIdentity(SketchDistribution):
         if m < 1:
             raise ValueError("m must be positive")
         self.m = int(m)
-        self._atom = SketchSample(np.eye(self.m), cols=tuple(range(self.m)))
+        self._atom = SketchSample(cols=range(self.m), m=self.m)
 
     def sample(self, rng):
         return self._atom
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
-        return [(self._atom, 1.0)]
+        return Support(self.m, np.arange(self.m)[None, :], [1.0])
 
     def __repr__(self):
         return f"FixedIdentity(m={self.m})"
@@ -156,7 +207,7 @@ class Coordinate(SketchDistribution):
 
     def _atom(self, i: int) -> SketchSample:
         if i not in self._atoms:
-            self._atoms[i] = _column_sample(self.m, (i,))
+            self._atoms[i] = SketchSample(cols=(i,), m=self.m)
         return self._atoms[i]
 
     def sample_indices(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -173,8 +224,10 @@ class Coordinate(SketchDistribution):
         return self._atom(i)
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
-        atoms = [(self._atom(i), float(p)) for i, p in enumerate(self.probabilities) if p > 0.0]
-        return atoms if len(atoms) <= cap else None
+        rows = np.flatnonzero(self.probabilities > 0.0)
+        if len(rows) > cap:
+            return None
+        return Support(self.m, rows[:, None], self.probabilities[rows])
 
     def __repr__(self):
         return f"Coordinate(m={self.m})"
@@ -200,26 +253,17 @@ class Block(SketchDistribution):
             cols = np.sort(rng.integers(0, self.m, size=self.q))
         else:
             cols = np.sort(rng.permutation(self.m)[: self.q])
-        return _column_sample(self.m, cols)
+        return SketchSample(cols=cols, m=self.m)
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
         if self.with_replacement:
-            count = math.comb(self.m + self.q - 1, self.q)
-            if count > cap:
-                return None
-            out = []
-            for cols in itertools.combinations_with_replacement(range(self.m), self.q):
-                counts = [cols.count(c) for c in sorted(set(cols))]
-                out.append((_column_sample(self.m, cols), _multiset_probability(counts, self.m)))
-            return out
+            stacked = _multisets(self.m, self.q, cap)
+            return None if stacked is None else Support(self.m, *stacked)
         count = math.comb(self.m, self.q)
         if count > cap:
             return None
-        prob = 1.0 / count
-        return [
-            (_column_sample(self.m, cols), prob)
-            for cols in itertools.combinations(range(self.m), self.q)
-        ]
+        cols = np.array(list(itertools.combinations(range(self.m), self.q)), dtype=np.intp)
+        return Support(self.m, cols, np.full(count, 1.0 / count))
 
     def __repr__(self):
         return f"Block(m={self.m}, q={self.q}, with_replacement={self.with_replacement})"
@@ -252,23 +296,14 @@ class CountSketch(SketchDistribution):
 
     def sample(self, rng):
         j = rng.integers(0, 2 * self.m, size=self.q)
-        cols = j % self.m
-        signs = np.where(j < self.m, 1, -1)
-        return _column_sample(self.m, cols, signs)
+        return SketchSample(cols=j % self.m, signs=np.where(j < self.m, 1, -1), m=self.m)
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
-        count = math.comb(2 * self.m + self.q - 1, self.q)
-        if count > cap:
+        stacked = _multisets(2 * self.m, self.q, cap)
+        if stacked is None:
             return None
-        out = []
-        for js in itertools.combinations_with_replacement(range(2 * self.m), self.q):
-            counts = [js.count(j) for j in sorted(set(js))]
-            cols = [j % self.m for j in js]
-            signs = [1 if j < self.m else -1 for j in js]
-            out.append(
-                (_column_sample(self.m, cols, signs), _multiset_probability(counts, 2 * self.m))
-            )
-        return out
+        js, probs = stacked
+        return Support(self.m, js % self.m, probs, signs=np.where(js < self.m, 1, -1))
 
     def __repr__(self):
         return f"CountSketch(m={self.m}, q={self.q})"
@@ -284,18 +319,11 @@ class CountMin(SketchDistribution):
         self.q = int(q)
 
     def sample(self, rng):
-        cols = rng.integers(0, self.m, size=self.q)
-        return _column_sample(self.m, cols)
+        return SketchSample(cols=rng.integers(0, self.m, size=self.q), m=self.m)
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
-        count = math.comb(self.m + self.q - 1, self.q)
-        if count > cap:
-            return None
-        out = []
-        for cols in itertools.combinations_with_replacement(range(self.m), self.q):
-            counts = [cols.count(c) for c in sorted(set(cols))]
-            out.append((_column_sample(self.m, cols), _multiset_probability(counts, self.m)))
-        return out
+        stacked = _multisets(self.m, self.q, cap)
+        return None if stacked is None else Support(self.m, *stacked)
 
     def __repr__(self):
         return f"CountMin(m={self.m}, q={self.q})"

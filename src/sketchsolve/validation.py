@@ -379,7 +379,7 @@ def check_spectrum_range(reform: Reformulation, options: ValidationOptions) -> C
     details = {"lambda_max_raw": float(lam[0]), "lambda_min_raw": float(lam[-1])}
     passed = worst <= tol
     support = reform.dist.support()
-    if support is not None and all(s.q == 1 for s, _ in support):
+    if support is not None and support.q == 1:
         trace_gap = abs(float(lam.sum()) - 1.0)
         details["trace_gap"] = trace_gap
         passed = passed and trace_gap <= 1e-9

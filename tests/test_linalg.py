@@ -159,6 +159,25 @@ class TestBPseudoinverse:
         with pytest.raises(ValueError):
             b_pseudoinverse(np.ones((2, 3)), identity_metric(2))
 
+    def test_rank_deficient_dense_metric(self):
+        # B^{-1/2} pinv(A B^{-1/2}) on a rank-2 A with repeated and zero rows
+        rng = stream(16, 0)
+        a = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+        a[4] = a[0]
+        a[5] = 0.0
+        g = rng.standard_normal((4, 4))
+        metric = SpdMatrix(g @ g.T + 0.5 * np.eye(4))
+        target = metric.inv_sqrt @ np.linalg.pinv(a @ metric.inv_sqrt)
+        out = b_pseudoinverse(a, metric)
+        assert np.abs(out - target).max() <= 1e-10 * np.abs(target).max()
+        # the weighted Penrose conditions: A X A = A and B X A is symmetric
+        assert np.abs(a @ out @ a - a).max() <= 1e-10 * np.abs(a).max()
+        bxa = metric.mat @ out @ a
+        assert np.abs(bxa - bxa.T).max() <= 1e-10 * np.abs(bxa).max()
+
+    def test_zero_matrix(self):
+        assert np.array_equal(b_pseudoinverse(np.zeros((3, 2)), identity_metric(2)), np.zeros((2, 3)))
+
 
 class TestConsistency:
     def test_single_row(self):

@@ -14,7 +14,10 @@ from sketchsolve.reformulation import (
     stochastic_value,
 )
 from sketchsolve.sketching import (
+    Block,
     Coordinate,
+    CountMin,
+    CountSketch,
     FixedIdentity,
     Gaussian,
     SketchSample,
@@ -177,8 +180,6 @@ class TestExpectedZ:
         # force over ordered tuples
         import itertools
 
-        from sketchsolve.sketching import Block, CountMin, CountSketch
-
         rng = stream(30, 0)
         m, n = 3, 4
         a = rng.standard_normal((m, n))
@@ -216,6 +217,97 @@ class TestExpectedZ:
         assert info.kind == "monte-carlo"
         assert info.n_samples == 10_000
         assert np.linalg.norm(ez - 0.5 * np.eye(2), 2) <= 3.0 * info.se_norm
+
+
+def _oracle_system(weighted, zero_row=False):
+    rng = stream(38, int(weighted))
+    m, n = 5, 4
+    a = rng.standard_normal((m, n))
+    if zero_row:
+        a[2] = 0.0
+    if weighted:
+        g = rng.standard_normal((n, n))
+        metric = SpdMatrix(g @ g.T + 0.5 * np.eye(n))
+    else:
+        metric = SpdMatrix.identity(n)
+    return Problem(a, a @ rng.standard_normal(n), metric)
+
+
+ORACLE_SUPPORTS = {
+    "fixed-identity": (FixedIdentity(5), False),
+    "coordinate-zero-probability": (Coordinate([0.3, 0.0, 0.2, 0.4, 0.1]), False),
+    "coordinate-zero-row": (Coordinate([0.2] * 5), True),
+    "block": (Block(5, 2), False),
+    "block-with-replacement": (Block(5, 3, with_replacement=True), False),
+    "count-min": (CountMin(5, 2), False),
+    "count-sketch": (CountSketch(5, 2), False),
+}
+
+
+def _relative_gap(x, reference):
+    return np.abs(x - reference).max() / np.abs(reference).max()
+
+
+class TestStackedExpectations:
+    """Stacked expectations against the per-atom sum over sketched_system."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity-B", "dense-B"])
+    @pytest.mark.parametrize("name", list(ORACLE_SUPPORTS))
+    def test_expected_Z_matches_atom_sum(self, name, weighted):
+        dist, zero_row = ORACLE_SUPPORTS[name]
+        problem = _oracle_system(weighted, zero_row)
+        atoms = [(sketched_system(problem.A, problem.b, problem.metric, s), p) for s, p in dist.support()]
+        reference = sum(p * sys.Z for sys, p in atoms)
+        ez, info = expected_Z(problem.A, problem.metric, dist)
+        assert info.kind == "exact"
+        assert _relative_gap(ez, reference) <= 1e-12
+        if zero_row:
+            assert not atoms[2][0].Z.any()
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity-B", "dense-B"])
+    @pytest.mark.parametrize("name", list(ORACLE_SUPPORTS))
+    def test_expected_H_matches_atom_sum(self, name, weighted):
+        dist, zero_row = ORACLE_SUPPORTS[name]
+        problem = _oracle_system(weighted, zero_row)
+        reference = sum(
+            p * sketched_system(problem.A, problem.b, problem.metric, s).H for s, p in dist.support()
+        )
+        eh = build_reformulation(problem, dist).expected_H()
+        assert _relative_gap(eh, reference) <= 1e-12
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity-B", "dense-B"])
+    def test_support_spanning_several_chunks(self, weighted, monkeypatch):
+        from sketchsolve import reformulation
+
+        problem = _oracle_system(weighted)
+        dist = Block(5, 2)  # 10 atoms of 2 rows; the budget below holds 3 atoms
+        reference_z = sum(
+            p * sketched_system(problem.A, problem.b, problem.metric, s).Z for s, p in dist.support()
+        )
+        reference_h = sum(
+            p * sketched_system(problem.A, problem.b, problem.metric, s).H for s, p in dist.support()
+        )
+        monkeypatch.setattr(reformulation, "_CHUNK_BYTES", 3 * 8 * 2 * problem.n)
+        chunks = list(reformulation._support_chunks(problem.A, problem.metric, dist.support()))
+        assert [len(probs) for _, probs, _, _ in chunks] == [3, 3, 3, 1]
+        ez, _ = expected_Z(problem.A, problem.metric, dist)
+        assert _relative_gap(ez, reference_z) <= 1e-12
+        assert _relative_gap(build_reformulation(problem, dist).expected_H(), reference_h) <= 1e-12
+
+    @pytest.mark.parametrize("dist", [Gaussian(5, 2), CountSketch(5, 3)], ids=repr)
+    def test_monte_carlo_draws_match_sketched_systems(self, dist):
+        # the estimate is the mean Z over the expectation stream's draws, in order
+        from sketchsolve.reformulation import EXPECTATION_STREAM
+
+        problem = _oracle_system(True)
+        rng = stream(41, EXPECTATION_STREAM)
+        draws = [
+            sketched_system(problem.A, problem.b, problem.metric, dist.sample(rng)).Z
+            for _ in range(200)
+        ]
+        ez, info = expected_Z(problem.A, problem.metric, dist, n_samples=200, seed=41, support_cap=1)
+        assert info.kind == "monte-carlo"
+        assert _relative_gap(ez, np.mean(draws, axis=0)) <= 1e-12
 
 
 class TestSpectrum:

@@ -8,6 +8,7 @@ from sketchsolve.sketching import (
     CountSketch,
     FixedIdentity,
     Gaussian,
+    SketchSample,
     kaczmarz_distribution,
     stream,
 )
@@ -176,6 +177,51 @@ class TestCountFamilies:
         # multisets {00, 01, 11} with probabilities 1/4, 1/2, 1/4
         probs = sorted(p for _, p in support)
         assert probs == pytest.approx([0.25, 0.25, 0.5])
+
+
+def dense_columns(m, cols, signs=None):
+    """S built column by column, as dense draws were before sketches became index sets."""
+    mat = np.zeros((m, len(cols)))
+    for j, i in enumerate(cols):
+        mat[i, j] = 1.0 if signs is None else float(signs[j])
+    return mat
+
+
+class TestIndexSetSamples:
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            FixedIdentity(4),
+            Coordinate([0.1, 0.2, 0.3, 0.4]),
+            Block(4, 2),
+            Block(4, 3, with_replacement=True),
+            CountSketch(4, 3),
+            CountMin(4, 3),
+        ],
+        ids=repr,
+    )
+    def test_matrix_matches_dense_construction(self, dist):
+        rng = stream(12, 0)
+        samples = [dist.sample(rng) for _ in range(40)] + [s for s, _ in dist.support()]
+        for sample in samples:
+            mat = sample.matrix
+            assert np.array_equal(mat, dense_columns(dist.m, sample.cols, sample.signs))
+            assert sample.q == mat.shape[1]
+            assert not mat.flags.writeable
+            assert sample.matrix is mat  # built once
+
+    def test_support_is_stacked(self):
+        support = CountSketch(3, 2).support()
+        assert support.cols.shape == support.signs.shape == (len(support), 2)
+        assert support.probs.shape == (len(support),)
+        for k, (sample, prob) in enumerate(support):
+            assert sample.cols == tuple(support.cols[k])
+            assert sample.signs == tuple(support.signs[k])
+            assert prob == support.probs[k]
+
+    def test_needs_matrix_or_index_set(self):
+        with pytest.raises(ValueError):
+            SketchSample(cols=(0, 1))
 
 
 class TestKaczmarzDistribution:
