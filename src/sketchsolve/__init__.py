@@ -86,6 +86,7 @@ from .solvers import (
     run_accelerated,
     run_basic,
     run_parallel,
+    run_trajectories,
     stepsize_policy,
 )
 

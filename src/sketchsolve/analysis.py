@@ -14,15 +14,16 @@ recurrence that governs the accelerated method's mean errors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .linalg import Problem, _as_vector
 from .reformulation import Reformulation, Spectrum
 from .sketching import SketchDistribution
-from .solvers import SolverConfig, run_accelerated, run_basic, run_parallel
+# run_basic, run_parallel and run_accelerated stay importable from here and
+# from cli because bench/tracing.py wraps them where it looks them up
+from .solvers import SolverConfig, run_accelerated, run_basic, run_parallel, run_trajectories  # noqa: F401
 
 __all__ = [
     "MomentEstimates",
@@ -77,11 +78,18 @@ class MomentEstimates:
         return float(np.max(self.mean_error_norm_sq - self.l2_error - 3.0 * self.l2_se))
 
 
-def _se(values: np.ndarray) -> np.ndarray:
+def _moments(values: np.ndarray):
+    """Mean and standard error over the leading (replication) axis."""
     r = values.shape[0]
-    if r < 2:
-        return np.zeros(values.shape[1:])
-    return values.std(axis=0, ddof=1) / math.sqrt(r)
+    se = np.zeros(values.shape[1:]) if r < 2 else values.std(axis=0, ddof=1) / math.sqrt(r)
+    return values.mean(axis=0), se
+
+
+def _from_step_one(samples: np.ndarray):
+    """Mean and standard error of (R, K) samples of iterations 1..K; NaN at iteration 0."""
+    mean, se = np.full((2, samples.shape[1] + 1), np.nan)
+    mean[1:], se[1:] = _moments(samples)
+    return mean, se
 
 
 def monte_carlo_moments(
@@ -95,41 +103,23 @@ def monte_carlo_moments(
     method: str = "basic",
     x0=None,
     x1=None,
-    threads: int = 1,
 ) -> MomentEstimates:
     """Estimate the theorem-tracked moments by independent replications.
 
-    Replication r draws from streams keyed by (master seed, r, worker);
-    the reduction happens in fixed replication order afterwards, so
-    results are identical for any ``threads``. Transformed-coordinate
-    and f-value moments need ``reform`` (for U and E[Z]) and are
-    skipped without it.
+    Replication r draws from streams keyed by (master seed, r, worker),
+    all in lockstep through :func:`run_trajectories`. Transformed-
+    coordinate and f-value moments need ``reform`` (for U and E[Z]) and
+    are skipped without it.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
     cfg = replace(config, max_iters=int(iterations), record=("error_sq", "iterates"), tol=None)
-    start = None if x0 is None else _as_vector(x0, problem.n)
-
-    def one(rep: int):
-        if method == "basic":
-            return run_basic(problem, dist, cfg, x0=start, replication=rep)
-        if method == "parallel":
-            return run_parallel(problem, dist, cfg, x0=start, replication=rep)
-        if method == "accelerated":
-            return run_accelerated(problem, dist, cfg, x0=start, x1=x1, replication=rep)
-        raise ValueError(f"unknown method {method!r}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            traces = list(pool.map(one, range(replications)))
-    else:
-        traces = [one(rep) for rep in range(replications)]
-
+    traces = run_trajectories(problem, dist, cfg, method, range(replications), x0=x0, x1=x1)
     anchor = traces[0].anchor
     errors = np.stack([t.iterates for t in traces]) - anchor  # (R, K+1, n)
     metric = problem.metric
 
-    l2_samples = np.einsum("rki,ij,rkj->rk", errors, metric.mat, errors)
+    l2_error, l2_se = _moments(np.einsum("rki,ij,rkj->rk", errors, metric.mat, errors))
     mean_error = errors.mean(axis=0)
     mean_error_norm_sq = np.einsum("ki,ij,kj->k", mean_error, metric.mat, mean_error)
 
@@ -138,28 +128,20 @@ def monte_carlo_moments(
     if reform is not None:
         basis = metric.sqrt @ reform.spectrum.U  # columns B^{1/2} u_i
         w = errors @ basis  # (R, K+1, n)
-        transformed_mean = w.mean(axis=0)
-        transformed_se = _se(w)
+        transformed_mean, transformed_se = _moments(w)
         initial_transformed = w[0, 0].copy()
         f_samples = 0.5 * np.einsum("rki,ij,rkj->rk", errors, reform.expected_Z, errors)
-        f_mean = f_samples.mean(axis=0)
-        f_se = _se(f_samples)
+        f_mean, f_se = _moments(f_samples)
 
     # Running-average iterate: hat_x_k = (1/k) sum_{t<k} x_t, for k >= 1.
     prefix = np.cumsum(errors, axis=1)
     k_idx = np.arange(1, errors.shape[1])
     cesaro_err = prefix[:, :-1, :] / k_idx[None, :, None]
     cesaro_samples = np.einsum("rki,ij,rkj->rk", cesaro_err, metric.mat, cesaro_err)
-    cesaro_error = np.full(errors.shape[1], np.nan)
-    cesaro_error_se = np.full(errors.shape[1], np.nan)
-    cesaro_error[1:] = cesaro_samples.mean(axis=0)
-    cesaro_error_se[1:] = _se(cesaro_samples)
+    cesaro_error, cesaro_error_se = _from_step_one(cesaro_samples)
     if reform is not None:
         cf = 0.5 * np.einsum("rki,ij,rkj->rk", cesaro_err, reform.expected_Z, cesaro_err)
-        cesaro_f = np.full(errors.shape[1], np.nan)
-        cesaro_f_se = np.full(errors.shape[1], np.nan)
-        cesaro_f[1:] = cf.mean(axis=0)
-        cesaro_f_se[1:] = _se(cf)
+        cesaro_f, cesaro_f_se = _from_step_one(cf)
 
     return MomentEstimates(
         replications=replications,
@@ -167,8 +149,8 @@ def monte_carlo_moments(
         mean_error_norm_sq=mean_error_norm_sq,
         transformed_mean=transformed_mean,
         transformed_se=transformed_se,
-        l2_error=l2_samples.mean(axis=0),
-        l2_se=_se(l2_samples),
+        l2_error=l2_error,
+        l2_se=l2_se,
         f_mean=f_mean,
         f_se=f_se,
         cesaro_error=cesaro_error,
@@ -225,23 +207,10 @@ class RatePrediction:
     flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        out = {
-            "omega": self.omega,
-            "tau": self.tau,
-            "mean_error_factor": self.mean_error_factor,
-            "l2_upper_factor": self.l2_upper_factor,
-            "l2_lower_factor": self.l2_lower_factor,
-            "parallel_factor": self.parallel_factor,
-            "parallel_optimal_omega": self.parallel_optimal_omega,
-            "parallel_optimal_factor": self.parallel_optimal_factor,
-            "parallel_limit_factor": self.parallel_limit_factor,
-            "f_factor_general": self.f_factor_general,
-            "f_factor_under_exactness": self.f_factor_under_exactness,
-            "flags": list(self.flags),
-        }
-        if self.mu is not None:
-            out["mu"] = self.mu
-            out["accel_factor"] = self.accel_factor
+        out = asdict(self)
+        out["flags"] = list(self.flags)
+        if self.mu is None:
+            del out["mu"], out["accel_factor"]
         return out
 
 

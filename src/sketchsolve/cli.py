@@ -11,7 +11,7 @@ Subcommands:
 Artifacts are byte-deterministic for a fixed (config, seed): floats are
 written in shortest round-trip form, keys are sorted, and row order is
 fixed. The only wall-clock text is the one generated_at line in
-summary.json. ``--threads`` changes speed, never results.
+summary.json. ``--threads`` is accepted and changes nothing.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed, 2 invalid
 input.
@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,12 +33,15 @@ from .config import ConfigError, ExperimentConfig, build_distribution, build_pro
 from .linalg import InconsistentSystemError
 from .mmio import ParseError
 from .reformulation import build_reformulation
-from .solvers import (
+# run_basic, run_parallel and run_accelerated stay importable from here and
+# from analysis because bench/tracing.py wraps them where it looks them up
+from .solvers import (  # noqa: F401
     SolverConfig,
     acceleration_parameters,
     run_accelerated,
     run_basic,
     run_parallel,
+    run_trajectories,
     stepsize_policy,
 )
 from .validation import LIBRARY_CHECKS, PROBLEM_CHECKS, ValidationOptions, run_validation
@@ -69,10 +71,6 @@ def _write_json(path: Path, payload: dict):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _solver_label(spec: dict, index: int) -> str:
-    return spec.get("label", f"{spec['method']}-{index}")
-
-
 def _resolve_omega(spec: dict, reform, index: int) -> float:
     if "omega" in spec:
         return float(spec["omega"])
@@ -82,18 +80,12 @@ def _resolve_omega(spec: dict, reform, index: int) -> float:
     return stepsize_policy(reform.spectrum, policy)
 
 
-def _run_solver(spec, index, problem, dist, reform, cfg, threads):
+def _run_solver(spec, index, problem, dist, reform, cfg):
     method = spec["method"]
     omega = _resolve_omega(spec, reform, index)
     iters = int(spec.get("iterations", cfg.iterations))
-    label = _solver_label(spec, index)
-    base = SolverConfig(
-        omega=omega,
-        max_iters=iters,
-        master_seed=cfg.seed,
-        tau=int(spec.get("tau", 1)),
-        record=("error_sq",),
-    )
+    label = spec.get("label", f"{method}-{index}")
+    base = SolverConfig(omega=omega, max_iters=iters, master_seed=cfg.seed, tau=int(spec.get("tau", 1)))
     if method == "accelerated":
         gamma = spec.get("gamma")
         mu = spec.get("mu", "auto")
@@ -105,172 +97,112 @@ def _run_solver(spec, index, problem, dist, reform, cfg, threads):
                 gamma = 2.0 / (1.0 + np.sqrt(mu))
         base = replace(base, gamma=float(gamma), mu=None if mu == "auto" else float(mu))
 
-    def one(rep: int):
-        if method == "basic":
-            return run_basic(problem, dist, base, replication=rep)
-        if method == "parallel":
-            return run_parallel(problem, dist, base, replication=rep)
-        return run_accelerated(problem, dist, base, replication=rep)
-
-    # replications run on independent streams; collecting by index keeps the
-    # emitted rows and the reduction identical for any thread count
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            traces = list(pool.map(one, range(cfg.replications)))
-    else:
-        traces = [one(rep) for rep in range(cfg.replications)]
-
-    rows = []
-    l2_sum = np.zeros(iters + 1)
-    for rep, trace in enumerate(traces):
-        for k, value in enumerate(trace.error_sq):
-            rows.append((k, "error_sq", value, rep))
-        if trace.sketch_loss is not None:
-            for k, value in enumerate(trace.sketch_loss):
-                rows.append((k, "sketch_loss", value, rep))
-            for k, value in enumerate(trace.step_sq):
-                rows.append((k, "step_sq", value, rep))
-        l2_sum += trace.error_sq
-    l2_mean = l2_sum / cfg.replications
-    fitted = fit_rate(np.maximum(l2_mean, 0.0)) if iters + 1 >= 5 else None
+    traces = run_trajectories(problem, dist, base, method, range(cfg.replications))
+    # trace lines are formatted here, in bulk, exactly as _fmt would format the cells
+    lines = [
+        f"{k},{name},{value!r},{rep}"
+        for rep, trace in enumerate(traces)
+        for name in ("error_sq", "sketch_loss", "step_sq")
+        if getattr(trace, name) is not None
+        for k, value in enumerate(getattr(trace, name).tolist())
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent run sums to inf or nan
+        l2_mean = np.stack([t.error_sq for t in traces]).mean(axis=0)
+    diverged = [t.diverged_at for t in traces if t.diverged_at is not None]
+    fitted = fit_rate(np.maximum(l2_mean, 0.0)) if not diverged and iters + 1 >= 5 else None
     if fitted is not None and fitted.floored:
         fitted = None  # trajectories hit exact zero; a geometric fit is meaningless
-    rates = theoretical_rates(
-        reform.spectrum,
-        omega,
-        tau=int(spec.get("tau", 1)),
-        mu=base.mu if method == "accelerated" else None,
-    )
+    rates = theoretical_rates(reform.spectrum, omega, tau=base.tau, mu=base.mu)
     summary = {
         "label": label,
         "method": method,
         "omega": omega,
         "iterations": iters,
         "replications": cfg.replications,
-        "final_l2_mean": float(l2_mean[-1]),
+        "final_l2_mean": float(l2_mean[-1]) if np.isfinite(l2_mean[-1]) else None,
+        "diverged_at": min(diverged, default=None),
         "predicted": rates.to_dict(),
     }
     if fitted is not None:
         summary["fitted_l2_rate"] = fitted.rate
         summary["fit_residual"] = fitted.residual
-    return label, rows, summary
+    return label, lines, summary
 
 
-def _diagnostics_payload(reform) -> dict:
-    return reform.diagnostics()
-
-
-def _checks_payload(results) -> list[dict]:
-    return [r.to_dict() for r in results]
-
-
-def _validation_options(cfg: ExperimentConfig, threads: int) -> ValidationOptions:
-    omega = 1.0
-    tau = 2
-    for spec in cfg.solvers:
-        if spec["method"] == "basic" and "omega" in spec:
-            omega = float(spec["omega"])
-            break
-    for spec in cfg.solvers:
-        if spec["method"] == "parallel" and "tau" in spec:
-            tau = int(spec["tau"])
-            break
+def _validation_options(cfg: ExperimentConfig) -> ValidationOptions:
+    specs = cfg.solvers
+    omega = next((float(s["omega"]) for s in specs if s["method"] == "basic" and "omega" in s), 1.0)
+    tau = next((int(s["tau"]) for s in specs if s["method"] == "parallel" and "tau" in s), 2)
     if not 0.0 < omega < 2.0:
         omega = 1.0  # checks assume the mean-square regime
     return ValidationOptions(
-        seed=cfg.seed,
-        replications=cfg.replications,
-        iterations=cfg.iterations,
-        omega=omega,
-        tau=tau,
-        threads=threads,
+        seed=cfg.seed, replications=cfg.replications, iterations=cfg.iterations, omega=omega, tau=tau
     )
 
 
-def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def _setup(cfg: ExperimentConfig, out_dir: Path):
+    """Problem, distribution and reformulation of a config; writes diagnostics.json."""
     problem, _ = build_problem(cfg)
     dist = build_distribution(cfg, problem)
     reform = build_reformulation(
         problem, dist, seed=cfg.seed, n_samples=cfg.expectation_samples, support_cap=cfg.support_cap
     )
-    _write_json(out_dir / "diagnostics.json", _diagnostics_payload(reform))
-    return 0
+    _write_json(out_dir / "diagnostics.json", reform.diagnostics())
+    return problem, dist, reform
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    problem, _ = build_problem(cfg)
-    dist = build_distribution(cfg, problem)
-    reform = build_reformulation(
-        problem, dist, seed=cfg.seed, n_samples=cfg.expectation_samples, support_cap=cfg.support_cap
-    )
-    _write_json(out_dir / "diagnostics.json", _diagnostics_payload(reform))
-
-    solver_summaries = []
-    rate_rows = []
-    for index, spec in enumerate(cfg.solvers):
-        label, rows, summary = _run_solver(spec, index, problem, dist, reform, cfg, threads)
-        _write_csv(out_dir / f"trace_{label}.csv", ["iter", "metric", "value", "replication"], rows)
-        solver_summaries.append(summary)
-        if "fitted_l2_rate" in summary:
-            rate_rows.append(
-                (
-                    label,
-                    "l2_rate",
-                    summary["predicted"]["l2_upper_factor"],
-                    summary["fitted_l2_rate"],
-                    summary["fit_residual"],
-                )
-            )
-    _write_csv(out_dir / "rates.csv", ["label", "quantity", "predicted", "fitted", "residual"], rate_rows)
-
-    checks = cfg.checks if cfg.checks is not None else DEFAULT_RUN_CHECKS
-    results = run_validation(problem, reform, _validation_options(cfg, threads), checks)
+def _write_summary(out_dir: Path, command: str, cfg: ExperimentConfig, results, **extra) -> int:
+    """Write summary.json; returns the exit code, 1 when a check failed."""
     failed = [r.anchor for r in results if not r.passed]
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "command": "run",
-            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "seed": cfg.seed,
-            "solvers": solver_summaries,
-            "checks": _checks_payload(results),
-            "failed_checks": failed,
-        },
-    )
+    payload = {
+        "command": command,
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "seed": cfg.seed,
+        **extra,
+        "checks": [r.to_dict() for r in results],
+        "failed_checks": failed,
+    }
+    _write_json(out_dir / "summary.json", payload)
     return 1 if failed else 0
 
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    problem, _ = build_problem(cfg)
-    dist = build_distribution(cfg, problem)
-    reform = build_reformulation(
-        problem, dist, seed=cfg.seed, n_samples=cfg.expectation_samples, support_cap=cfg.support_cap
-    )
-    _write_json(out_dir / "diagnostics.json", _diagnostics_payload(reform))
-    checks = cfg.checks
-    if checks is None:
-        checks = list(LIBRARY_CHECKS) + list(PROBLEM_CHECKS)
-    results = run_validation(problem, reform, _validation_options(cfg, threads), checks)
+def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path) -> int:
+    _setup(cfg, out_dir)
+    return 0
+
+
+def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
+    problem, dist, reform = _setup(cfg, out_dir)
+    solver_summaries, rate_rows = [], []
+    for index, spec in enumerate(cfg.solvers):
+        label, lines, summary = _run_solver(spec, index, problem, dist, reform, cfg)
+        _write_text(out_dir / f"trace_{label}.csv", "\n".join(["iter,metric,value,replication", *lines]) + "\n")
+        solver_summaries.append(summary)
+        if "fitted_l2_rate" in summary:
+            # each method against its own L2 factor; the accelerated method
+            # has no L2 bound of its own and is compared with the basic one
+            bound = "parallel_factor" if summary["method"] == "parallel" else "l2_upper_factor"
+            predicted = summary["predicted"][bound]
+            rate_rows.append((label, "l2_rate", predicted, summary["fitted_l2_rate"], summary["fit_residual"]))
+    _write_csv(out_dir / "rates.csv", ["label", "quantity", "predicted", "fitted", "residual"], rate_rows)
+
+    checks = cfg.checks if cfg.checks is not None else DEFAULT_RUN_CHECKS
+    results = run_validation(problem, reform, _validation_options(cfg), checks)
+    return _write_summary(out_dir, "run", cfg, results, solvers=solver_summaries)
+
+
+def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
+    problem, _, reform = _setup(cfg, out_dir)
+    checks = cfg.checks if cfg.checks is not None else [*LIBRARY_CHECKS, *PROBLEM_CHECKS]
+    results = run_validation(problem, reform, _validation_options(cfg), checks)
     _write_csv(
         out_dir / "checks.csv",
         ["anchor", "passed", "margin"],
         [(r.anchor, int(r.passed), r.margin) for r in results],
     )
-    failed = [r.anchor for r in results if not r.passed]
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "command": "validate",
-            "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "seed": cfg.seed,
-            "checks": _checks_payload(results),
-            "failed_checks": failed,
-        },
-    )
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.anchor} margin={result.margin:.3e}")
-    return 1 if failed else 0
+        print(f"{'PASS' if result.passed else 'FAIL'} {result.anchor} margin={result.margin:.3e}")
+    return _write_summary(out_dir, "validate", cfg, results)
 
 
 def main(argv=None) -> int:
@@ -281,9 +213,7 @@ def main(argv=None) -> int:
         cmd.add_argument("config", help="path to the JSON experiment configuration")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--output-dir", default=None, help="override the output directory")
-        cmd.add_argument(
-            "--threads", type=int, default=1, help="worker threads (affects speed only)"
-        )
+        cmd.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -291,11 +221,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = int(args.seed)
         out_dir = Path(args.output_dir or cfg.output_dir or "out")
-        if args.command == "run":
-            return cmd_run(cfg, out_dir, args.threads)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg, out_dir, args.threads)
-        return cmd_validate(cfg, out_dir, args.threads)
+        command = {"run": cmd_run, "diagnose": cmd_diagnose, "validate": cmd_validate}[args.command]
+        return command(cfg, out_dir)
     except (ConfigError, ParseError, InconsistentSystemError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

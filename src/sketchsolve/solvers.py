@@ -18,14 +18,18 @@ A proximal step is included as an equivalence oracle: for
 0 < omega <= 1 the sketched step equals the minimizer of
 f_S(z) + (1-omega)/(2 omega) ||z - x||_B^2.
 
-All trajectories are reproducible: each (replication, worker) pair owns
-a keyed counter-based stream, and results do not depend on how many
-threads execute the replications.
+One trajectory engine, :func:`run_trajectories`, runs every method: it
+steps all replications in lockstep as one (R, n) array. Trajectories are
+reproducible: each (replication, worker) pair owns a keyed
+counter-based stream, so a replication's trace does not depend on which
+other replications run beside it.
 """
 
 from __future__ import annotations
 
+import math
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,8 @@ __all__ = [
     "SolverConfig",
     "IterationTrace",
     "Workspace",
+    "workspace",
+    "run_trajectories",
     "basic_step",
     "parallel_step",
     "prox_step",
@@ -51,6 +57,7 @@ __all__ = [
 ]
 
 TRAJECTORY_STREAM = 202
+METHODS = ("basic", "parallel", "accelerated")
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,9 @@ class IterationTrace:
     set. For the basic method, ``sketch_loss[k]`` is f_{S_k}(x_k) and
     ``step_sq[k]`` is ||x_{k+1} - x_k||_B^2, both computed from
     independent quantities so the per-step identities can be audited.
+    ``converged`` says whether the last error is within ``tol`` (None
+    without one); ``diverged_at`` is the first iteration whose error is
+    not finite (None if every error is finite).
     """
 
     method: str
@@ -108,6 +118,7 @@ class IterationTrace:
     seed_key: tuple | None = None
     elapsed: float = 0.0
     converged: bool | None = None
+    diverged_at: int | None = None
 
     @property
     def final_error(self) -> float:
@@ -117,61 +128,107 @@ class IterationTrace:
 class Workspace:
     """Per-problem caches shared by all steps of a run.
 
-    Stores B^{-1}A' and the diagonal of A B^{-1} A' so coordinate
-    (single-row) sketches take a closed-form O(m + n) step.
+    Stores B^{-1}A', its transpose (row i is B^{-1}a_i) and the diagonal
+    of A B^{-1} A', so single-row sketches take a closed-form O(m + n)
+    step. Build it with :func:`workspace`, which caches it per problem.
     """
 
     def __init__(self, problem: Problem):
-        self.problem = problem
         self.A = problem.A
         self.b = problem.b
-        self.metric = problem.metric
         self.binv_at = _readonly(problem.metric.inv @ problem.A.T)
+        self.binv_rows = _readonly(np.ascontiguousarray(self.binv_at.T))
         self.row_gram = _readonly(np.einsum("ij,ji->i", problem.A, self.binv_at))
+        # a row with a zero gram takes no step: y / inf = 0
+        self._step_gram = _readonly(np.where(self.row_gram > 0.0, self.row_gram, np.inf))
+        # e @ I is e exactly, so B = I skips that product
+        self._metric = None if np.array_equal(problem.metric.mat, np.eye(problem.n)) else problem.metric.mat
 
-    def coordinate_step(self, x: np.ndarray, row: int, omega: float):
-        """One sketched step for S = e_row. Returns (x_next, sketch_loss)."""
-        g = self.row_gram[row]
-        y = float(self.A[row] @ x - self.b[row])
-        if g <= 0.0:
-            return x.copy(), 0.0
-        coef = y / g
-        return x - (omega * coef) * self.binv_at[:, row], 0.5 * y * coef
+    def norm_sq(self, e: np.ndarray) -> np.ndarray:
+        """||e_r||_B^2 for every row of e, with the products of e_r @ B @ e_r."""
+        be = e if self._metric is None else e @ self._metric
+        if len(e) == 1:
+            return be[0] @ e[0]
+        return (be[:, None, :] @ e[:, :, None])[:, 0, 0]
+
+    def coordinate_step(self, x: np.ndarray, cols: np.ndarray, omega: float):
+        """Averaged steps for S = e_{cols[r, i]}, all rows of x at once.
+
+        ``x`` is (R, n) and ``cols`` is (R, tau); row r of the result is
+        the mean over i of the steps from x[r] with S = e_{cols[r, i]}.
+        Returns (x_next, sketch_loss), the loss of each row's first step.
+        """
+        if cols.shape == (1, 1):
+            # one row, one sketch: vector products, bitwise equal to the stacked ones
+            i = cols[0, 0]
+            y = self.A[i] @ x[0] - self.b[i]
+            coef = y / self._step_gram[i]
+            return x - (omega * coef) * self.binv_rows[i], 0.5 * y * coef
+        y = (self.A[cols] @ x[:, :, None])[:, :, 0] - self.b[cols]
+        coef = y / self._step_gram[cols]
+        x_next = x - ((coef * (omega / cols.shape[1]))[:, None, :] @ self.binv_rows[cols])[:, 0, :]
+        return x_next, 0.5 * y[:, 0] * coef[:, 0]
 
     def general_step(self, x: np.ndarray, sketch: SketchSample, omega: float):
-        """One sketched step for an arbitrary sketch. Returns (x_next, loss)."""
-        s = sketch.matrix
-        v = self.binv_at @ s
-        gram = _symmetrize(s.T @ (self.A @ v))
-        gram_pinv = pseudoinverse(gram)
-        y = s.T @ (self.A @ x - self.b)
-        u = gram_pinv @ y
+        """One sketched step for an arbitrary sketch. Returns (x_next, loss).
+
+        An index-set sketch gathers its rows: S'A = A[cols] and
+        S'(Ax - b) = (Ax - b)[cols]. Column signs are dropped because
+        D (D G D)^+ D = G^+ for a diagonal sign matrix D. A dense sketch
+        is multiplied out.
+        """
+        if sketch.cols is not None:
+            cols = list(sketch.cols)
+            rows = self.A[cols]
+            v = self.binv_at[:, cols]
+            gram = _symmetrize(rows @ v)
+            y = rows @ x - self.b[cols]
+        else:
+            s = sketch.matrix
+            v = self.binv_at @ s
+            gram = _symmetrize(s.T @ (self.A @ v))
+            y = s.T @ (self.A @ x - self.b)
+        u = pseudoinverse(gram) @ y
         return x - omega * (v @ u), 0.5 * float(y @ u)
 
     def step(self, x: np.ndarray, sketch: SketchSample, omega: float):
-        if sketch.cols is not None and sketch.q == 1 and (sketch.signs in (None, (1,))):
-            return self.coordinate_step(x, sketch.cols[0], omega)
+        """One sketched step from the vector x. Returns (x_next, loss)."""
+        if sketch.cols is not None and sketch.q == 1:
+            x_next, loss = self.coordinate_step(x[None], np.array([sketch.cols]), omega)
+            return x_next[0], float(loss)
         return self.general_step(x, sketch, omega)
+
+
+# a Workspace holds no reference to its problem, so an entry lives as long as the problem
+_WORKSPACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def workspace(problem: Problem) -> Workspace:
+    """The :class:`Workspace` of a problem, built once while the problem lives."""
+    ws = _WORKSPACES.get(problem)
+    if ws is None:
+        ws = _WORKSPACES[problem] = Workspace(problem)
+    return ws
 
 
 def basic_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.ndarray:
     """One step of the basic method from x with the given sketch."""
-    ws = Workspace(problem)
-    x_next, _ = ws.step(_as_vector(x, problem.n), sketch, float(omega))
-    return x_next
+    return workspace(problem).step(_as_vector(x, problem.n), sketch, float(omega))[0]
 
 
 def parallel_step(problem: Problem, x, sketches, omega: float) -> np.ndarray:
     """Average of independent sketched steps taken from the same x."""
     if len(sketches) < 1:
         raise ValueError("need at least one sketch")
-    ws = Workspace(problem)
-    v = _as_vector(x, problem.n)
-    acc = np.zeros(problem.n)
-    for sketch in sketches:
-        x_i, _ = ws.step(v, sketch, float(omega))
-        acc += x_i
-    return acc / len(sketches)
+    return _mean_step(workspace(problem), _as_vector(x, problem.n), sketches, float(omega))[0]
+
+
+def _mean_step(ws: Workspace, x: np.ndarray, sketches, omega: float):
+    """Mean of the steps from x, and the loss of the first sketch."""
+    steps = [ws.step(x, sketch, omega) for sketch in sketches]
+    if len(steps) == 1:
+        return steps[0]
+    return sum(z for z, _ in steps) / len(steps), steps[0][1]
 
 
 def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.ndarray:
@@ -186,10 +243,8 @@ def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.nda
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"prox step requires 0 < omega <= 1, got {omega}")
     v = _as_vector(x, problem.n)
-    ws = Workspace(problem)
     if omega == 1.0:
-        x_next, _ = ws.step(v, sketch, 1.0)
-        return x_next
+        return workspace(problem).step(v, sketch, 1.0)[0]
     s = sketch.matrix
     c = problem.A.T @ s
     gram = _symmetrize(s.T @ (problem.A @ (problem.metric.inv @ c)))
@@ -201,16 +256,157 @@ def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.nda
     return np.linalg.solve(lhs, rhs)
 
 
-def _trajectory_generators(config: SolverConfig, replication: int, workers: int):
+def _acceleration_gamma(config: SolverConfig) -> float:
+    if config.gamma is not None:
+        return float(config.gamma)
+    if config.mu is None:
+        raise ValueError("accelerated method needs gamma or mu")
+    mu = float(config.mu)
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    return 2.0 / (1.0 + np.sqrt(mu))
+
+
+def _within(error_sq: float, tol: float) -> bool:
+    return math.sqrt(max(float(error_sq), 0.0)) <= tol
+
+
+def _sketch_steps(ws, dist, config, method, replications, tau, samples):
+    """The function (x, k) -> (mean sketched step, first sketch loss) of iteration k.
+
+    Coordinate sampling draws every row index of each stream up front and
+    steps all replications in one gathered update. Other distributions,
+    and given ``samples`` (one replication), are drawn and stepped sketch
+    by sketch.
+    """
+    omega, k_max = config.omega, config.max_iters
+    if samples is not None:
+        if len(replications) != 1:
+            raise ValueError("given samples drive exactly one replication")
+        if len(samples) < k_max:
+            raise ValueError(f"need {k_max} samples, got {len(samples)}")
+        groups = samples[:k_max] if method == "parallel" else [[s] for s in samples[:k_max]]
+        for k, group in enumerate(groups):
+            if len(group) != tau:
+                raise ValueError(f"iteration {k}: expected {tau} sketches, got {len(group)}")
+        sources, draw = [[iter([g[i] for g in groups]) for i in range(tau)]], next
+    else:
+        sources = [
+            [stream(config.master_seed, TRAJECTORY_STREAM, rep, i) for i in range(tau)]
+            for rep in replications
+        ]
+        draw = dist.sample
+        if isinstance(dist, Coordinate):
+            rows = np.stack([[dist.sample_indices(g, k_max) for g in row] for row in sources])
+            rows = np.ascontiguousarray(np.moveaxis(rows, 2, 0))  # (K, R, tau)
+            return lambda x, k: ws.coordinate_step(x, rows[k], omega)
+
+    def general(x, k):
+        x_next, loss = np.empty_like(x), np.empty(len(x))
+        for r, row in enumerate(sources):
+            x_next[r], loss[r] = _mean_step(ws, x[r], [draw(g) for g in row], omega)
+        return x_next, loss
+
+    return general
+
+
+def run_trajectories(
+    problem: Problem,
+    dist: SketchDistribution,
+    config: SolverConfig,
+    method: str = "basic",
+    replications=(0,),
+    x0=None,
+    x1=None,
+    samples=None,
+) -> list[IterationTrace]:
+    """Run one method for every replication in lockstep, as one (R, n) array.
+
+    Returns one trace per replication, in order; replication r, worker i
+    draws from the stream (master_seed, TRAJECTORY_STREAM, r, i), so each
+    trace equals the run of that replication alone. Every method takes
+    the same sketched step phi: the parallel method averages ``config.tau``
+    of them, and the accelerated method sets x_1 (``x1``, by default x_0),
+    then x_{k+1} = gamma phi(x_k, S_k) + (1 - gamma) phi(x_{k-1}, S_{k-1}).
+    All traces stop together, after ``config.max_iters`` steps or once
+    every replication is within ``config.tol``. ``samples`` replaces the
+    streams of one replication: a sketch (parallel: a group of ``tau``)
+    per iteration. A divergent run is not an error: its errors overflow
+    to non-finite values and ``diverged_at`` records where.
+    """
+    t0 = time.perf_counter()
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    ws = workspace(problem)
+    start = np.zeros(problem.n) if x0 is None else _as_vector(x0, problem.n).copy()
+    anchor = problem.project(start)
+    tau = config.tau if method == "parallel" else 1
+    k_max = config.max_iters
+    gamma = None
+    if method == "accelerated":
+        second = start if x1 is None else _as_vector(x1, problem.n)
+        d = start - second
+        residual = problem.metric.norm(d - problem.range_projector_apply(d))
+        if residual > 1e-9 * (1.0 + problem.metric.norm(d)):
+            raise ValueError(f"x0 - x1 must lie in range(B^{{-1}}A'); projection residual {residual:.3e}")
+        gamma = _acceleration_gamma(config)
+
+    step = _sketch_steps(ws, dist, config, method, replications, tau, samples)
+
+    n_reps = len(replications)
+    error_sq = np.empty((n_reps, k_max + 1))
+    sketch_loss = np.empty((n_reps, k_max)) if method == "basic" else None
+    step_sq = np.empty((n_reps, k_max)) if method == "basic" else None
+    iterates = np.empty((n_reps, k_max + 1, problem.n)) if "iterates" in config.record else None
+    x = np.repeat(start[None], n_reps, axis=0)
+    error_sq[:, 0] = ws.norm_sq(x - anchor)
+    if iterates is not None:
+        iterates[:, 0] = x
+    tol, steps, z_prev = config.tol, 0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            # the test is monotone in the error, and a nan maximum fails it
+            if tol is not None and _within(error_sq[:, k].max(), tol):
+                break
+            z, loss = step(x, k)
+            if method != "accelerated":
+                x_next = z
+            elif k == 0:
+                x_next = np.repeat(second[None], n_reps, axis=0)
+            else:
+                x_next = gamma * z + (1.0 - gamma) * z_prev
+            z_prev = z
+            error_sq[:, k + 1] = ws.norm_sq(x_next - anchor)
+            if sketch_loss is not None:
+                sketch_loss[:, k] = loss
+                step_sq[:, k] = ws.norm_sq(x_next - x)
+            if iterates is not None:
+                iterates[:, k + 1] = x_next
+            x = x_next
+            steps = k + 1
+
+    elapsed = time.perf_counter() - t0
+    error_sq = error_sq[:, : steps + 1]
+    finite = np.isfinite(error_sq)
+    key = (config.master_seed, TRAJECTORY_STREAM)
     return [
-        stream(config.master_seed, TRAJECTORY_STREAM, replication, i) for i in range(workers)
+        IterationTrace(
+            method=method,
+            omega=config.omega,
+            tau=tau,
+            gamma=gamma,
+            anchor=anchor,
+            error_sq=error_sq[r],
+            sketch_loss=None if sketch_loss is None else sketch_loss[r, :steps],
+            step_sq=None if step_sq is None else step_sq[r, :steps],
+            iterates=None if iterates is None else iterates[r, : steps + 1],
+            seed_key=key + ((rep,) if method == "parallel" else (rep, 0)),
+            elapsed=elapsed,
+            converged=None if tol is None else _within(error_sq[r, -1], tol),
+            diverged_at=None if finite[r].all() else int(np.argmin(finite[r])),
+        )
+        for r, rep in enumerate(replications)
     ]
-
-
-def _start_arrays(problem: Problem, x0):
-    x = np.zeros(problem.n) if x0 is None else _as_vector(x0, problem.n).copy()
-    anchor = problem.project(x)
-    return x, anchor
 
 
 def run_basic(
@@ -221,70 +417,13 @@ def run_basic(
     replication: int = 0,
     samples: list[SketchSample] | None = None,
 ) -> IterationTrace:
-    """Run the basic method for ``config.max_iters`` iterations.
+    """Run the basic method for one replication.
 
-    Draws one fresh sketch per iteration from the stream keyed by
-    (master_seed, replication, worker 0), or consumes ``samples`` when
-    given. Exhausting the budget without reaching ``config.tol`` flags
-    the trace as not converged; it is not an error.
+    One fresh sketch per iteration, from the stream (master_seed,
+    replication, worker 0) or from ``samples``. Exhausting the budget
+    without reaching ``config.tol`` flags the trace as not converged.
     """
-    t0 = time.perf_counter()
-    ws = Workspace(problem)
-    x, anchor = _start_arrays(problem, x0)
-    k_max = config.max_iters
-    keep_iterates = "iterates" in config.record
-
-    rows = None
-    if samples is None:
-        gen = _trajectory_generators(config, replication, 1)[0]
-        if isinstance(dist, Coordinate):
-            rows = dist.sample_indices(gen, k_max)
-    elif len(samples) < k_max:
-        raise ValueError(f"need {k_max} samples, got {len(samples)}")
-
-    error_sq = np.empty(k_max + 1)
-    sketch_loss = np.empty(k_max)
-    step_sq = np.empty(k_max)
-    iterates = np.empty((k_max + 1, problem.n)) if keep_iterates else None
-
-    error_sq[0] = ws.metric.norm_sq(x - anchor)
-    if keep_iterates:
-        iterates[0] = x
-    converged = None if config.tol is None else False
-    steps_done = 0
-    for k in range(k_max):
-        if config.tol is not None and np.sqrt(max(error_sq[k], 0.0)) <= config.tol:
-            converged = True
-            break
-        if samples is not None:
-            x_next, loss = ws.step(x, samples[k], config.omega)
-        elif rows is not None:
-            x_next, loss = ws.coordinate_step(x, int(rows[k]), config.omega)
-        else:
-            x_next, loss = ws.step(x, dist.sample(gen), config.omega)
-        sketch_loss[k] = loss
-        step_sq[k] = ws.metric.norm_sq(x_next - x)
-        x = x_next
-        error_sq[k + 1] = ws.metric.norm_sq(x - anchor)
-        if keep_iterates:
-            iterates[k + 1] = x
-        steps_done = k + 1
-    if config.tol is not None and not converged:
-        converged = bool(np.sqrt(max(error_sq[steps_done], 0.0)) <= config.tol)
-
-    n_pts = steps_done + 1
-    return IterationTrace(
-        method="basic",
-        omega=config.omega,
-        anchor=anchor,
-        error_sq=error_sq[:n_pts],
-        sketch_loss=sketch_loss[:steps_done],
-        step_sq=step_sq[:steps_done],
-        iterates=iterates[:n_pts] if keep_iterates else None,
-        seed_key=(config.master_seed, TRAJECTORY_STREAM, replication, 0),
-        elapsed=time.perf_counter() - t0,
-        converged=converged,
-    )
+    return run_trajectories(problem, dist, config, "basic", (replication,), x0, samples=samples)[0]
 
 
 def run_parallel(
@@ -297,72 +436,10 @@ def run_parallel(
 ) -> IterationTrace:
     """Run the parallel (minibatch) method with ``config.tau`` workers.
 
-    Worker i draws from its own stream keyed by (master_seed,
-    replication, i), so the trace is bitwise identical for a fixed
-    (seed, tau) no matter how the workers are scheduled. With tau = 1
-    the trajectory coincides with the basic method under the same seed.
+    Worker i draws from the stream (master_seed, replication, i). With
+    tau = 1 the trajectory coincides with the basic method.
     """
-    t0 = time.perf_counter()
-    ws = Workspace(problem)
-    x, anchor = _start_arrays(problem, x0)
-    k_max = config.max_iters
-    tau = config.tau
-    keep_iterates = "iterates" in config.record
-
-    rows = None
-    gens = None
-    if samples is None:
-        gens = _trajectory_generators(config, replication, tau)
-        if isinstance(dist, Coordinate):
-            rows = np.stack([dist.sample_indices(g, k_max) for g in gens])
-    elif len(samples) < k_max:
-        raise ValueError(f"need {k_max} sample groups, got {len(samples)}")
-
-    error_sq = np.empty(k_max + 1)
-    iterates = np.empty((k_max + 1, problem.n)) if keep_iterates else None
-    error_sq[0] = ws.metric.norm_sq(x - anchor)
-    if keep_iterates:
-        iterates[0] = x
-    converged = None if config.tol is None else False
-    steps_done = 0
-    for k in range(k_max):
-        if config.tol is not None and np.sqrt(max(error_sq[k], 0.0)) <= config.tol:
-            converged = True
-            break
-        if rows is not None:
-            cols = rows[:, k]
-            y = problem.A[cols] @ x - problem.b[cols]
-            g = ws.row_gram[cols]
-            coef = np.where(g > 0.0, y / np.where(g > 0.0, g, 1.0), 0.0)
-            x = x - ws.binv_at[:, cols] @ (coef * (config.omega / tau))
-        else:
-            group = samples[k] if samples is not None else [dist.sample(g) for g in gens]
-            if len(group) != tau:
-                raise ValueError(f"iteration {k}: expected {tau} sketches, got {len(group)}")
-            acc = np.zeros(problem.n)
-            for sketch in group:
-                x_i, _ = ws.step(x, sketch, config.omega)
-                acc += x_i
-            x = acc / tau
-        error_sq[k + 1] = ws.metric.norm_sq(x - anchor)
-        if keep_iterates:
-            iterates[k + 1] = x
-        steps_done = k + 1
-    if config.tol is not None and not converged:
-        converged = bool(np.sqrt(max(error_sq[steps_done], 0.0)) <= config.tol)
-
-    n_pts = steps_done + 1
-    return IterationTrace(
-        method="parallel",
-        omega=config.omega,
-        tau=tau,
-        anchor=anchor,
-        error_sq=error_sq[:n_pts],
-        iterates=iterates[:n_pts] if keep_iterates else None,
-        seed_key=(config.master_seed, TRAJECTORY_STREAM, replication),
-        elapsed=time.perf_counter() - t0,
-        converged=converged,
-    )
+    return run_trajectories(problem, dist, config, "parallel", (replication,), x0, samples=samples)[0]
 
 
 def run_accelerated(
@@ -374,86 +451,12 @@ def run_accelerated(
     replication: int = 0,
     samples: list[SketchSample] | None = None,
 ) -> IterationTrace:
-    """Run the accelerated method.
+    """Run the accelerated method from the starts x_0 and x_1.
 
-    Keeps the previous sketched step and forms
-    x_{k+1} = gamma * phi(x_k, S_k) + (1 - gamma) * phi(x_{k-1}, S_{k-1}).
-    The starts must satisfy x_0 - x_1 in range(B^{-1}A'); by default
-    x_1 = x_0, which satisfies it trivially. ``config.gamma`` is used
-    directly when set, otherwise gamma = 2/(1 + sqrt(config.mu)).
+    x_1 = x_0 by default; x_0 - x_1 must lie in range(B^{-1}A').
+    ``config.gamma`` is used when set, else gamma = 2/(1 + sqrt(mu)).
     """
-    t0 = time.perf_counter()
-    ws = Workspace(problem)
-    x_prev, anchor = _start_arrays(problem, x0)
-    x_cur = x_prev.copy() if x1 is None else _as_vector(x1, problem.n).copy()
-
-    d = x_prev - x_cur
-    d_norm = ws.metric.norm(d)
-    if d_norm > 0.0:
-        residual = ws.metric.norm(d - problem.range_projector_apply(d))
-        if residual > 1e-9 * (1.0 + d_norm):
-            raise ValueError(
-                "x0 - x1 must lie in range(B^{-1}A'); projection residual "
-                f"{residual:.3e}"
-            )
-
-    if config.gamma is not None:
-        gamma = float(config.gamma)
-    elif config.mu is not None:
-        mu = float(config.mu)
-        if not 0.0 < mu < 1.0:
-            raise ValueError(f"mu must lie in (0, 1), got {mu}")
-        gamma = 2.0 / (1.0 + np.sqrt(mu))
-    else:
-        raise ValueError("accelerated method needs gamma or mu")
-
-    k_max = config.max_iters
-    keep_iterates = "iterates" in config.record
-    rows = None
-    gen = None
-    if samples is None:
-        gen = _trajectory_generators(config, replication, 1)[0]
-        if isinstance(dist, Coordinate):
-            rows = dist.sample_indices(gen, k_max)
-    elif len(samples) < k_max:
-        raise ValueError(f"need {k_max} samples, got {len(samples)}")
-
-    def draw_step(x, k):
-        if samples is not None:
-            return ws.step(x, samples[k], config.omega)[0]
-        if rows is not None:
-            return ws.coordinate_step(x, int(rows[k]), config.omega)[0]
-        return ws.step(x, dist.sample(gen), config.omega)[0]
-
-    error_sq = np.empty(k_max + 1)
-    iterates = np.empty((k_max + 1, problem.n)) if keep_iterates else None
-    error_sq[0] = ws.metric.norm_sq(x_prev - anchor)
-    error_sq[1] = ws.metric.norm_sq(x_cur - anchor)
-    if keep_iterates:
-        iterates[0] = x_prev
-        iterates[1] = x_cur
-
-    z_prev = draw_step(x_prev, 0)
-    for k in range(1, k_max):
-        z_cur = draw_step(x_cur, k)
-        x_next = gamma * z_cur + (1.0 - gamma) * z_prev
-        z_prev = z_cur
-        x_cur = x_next
-        error_sq[k + 1] = ws.metric.norm_sq(x_cur - anchor)
-        if keep_iterates:
-            iterates[k + 1] = x_cur
-
-    return IterationTrace(
-        method="accelerated",
-        omega=config.omega,
-        gamma=gamma,
-        anchor=anchor,
-        error_sq=error_sq,
-        iterates=iterates,
-        seed_key=(config.master_seed, TRAJECTORY_STREAM, replication, 0),
-        elapsed=time.perf_counter() - t0,
-        converged=None,
-    )
+    return run_trajectories(problem, dist, config, "accelerated", (replication,), x0, x1, samples)[0]
 
 
 def stepsize_policy(spectrum: Spectrum, kind: str) -> float:
@@ -496,18 +499,14 @@ def pathwise_residuals(trace: IterationTrace) -> tuple[float, float]:
     if trace.sketch_loss is None or trace.step_sq is None:
         raise ValueError("trace does not carry per-step sketch losses")
     w = trace.omega
-    n_steps = len(trace.sketch_loss)
-    worst_decrement = 0.0
-    worst_step = 0.0
+    e, loss, step = trace.error_sq, trace.sketch_loss, trace.step_sq
+    e_next = e[1 : len(loss) + 1]
     # once the error has fallen ~8 orders below its running peak, the
     # residual A x - b is pure cancellation dust; floor the comparison
     # scale there so the check measures algebra, not roundoff
-    floor = np.sqrt(np.finfo(float).eps) * max(float(trace.error_sq.max()), 1e-300)
-    for k in range(n_steps):
-        err_scale = max(trace.error_sq[k], abs(trace.error_sq[k + 1]), floor)
-        predicted = trace.error_sq[k] - 2.0 * w * (2.0 - w) * trace.sketch_loss[k]
-        worst_decrement = max(worst_decrement, abs(trace.error_sq[k + 1] - predicted) / err_scale)
-        predicted_step = 2.0 * w * w * trace.sketch_loss[k]
-        scale = max(trace.step_sq[k], predicted_step, floor)
-        worst_step = max(worst_step, abs(trace.step_sq[k] - predicted_step) / scale)
-    return worst_decrement, worst_step
+    floor = np.sqrt(np.finfo(float).eps) * max(float(e.max()), 1e-300)
+    err_scale = np.maximum(np.maximum(e[: len(loss)], np.abs(e_next)), floor)
+    decrement = np.abs(e_next - (e[: len(loss)] - 2.0 * w * (2.0 - w) * loss)) / err_scale
+    predicted_step = 2.0 * w * w * loss
+    step_res = np.abs(step - predicted_step) / np.maximum(np.maximum(step, predicted_step), floor)
+    return float(decrement.max(initial=0.0)), float(step_res.max(initial=0.0))

@@ -82,7 +82,6 @@ class ValidationOptions:
     oracle_instances: int = 300
     omega: float = 1.0
     tau: int = 2
-    threads: int = 1
 
 
 def _random_instance(rng, m=None, n=None, q=None, metric_spread=2.0):
@@ -475,7 +474,6 @@ def check_expected_iterates(
         options.replications,
         options.iterations,
         reform=reform,
-        threads=options.threads,
         x0=_validation_start(problem, options),
     )
     lam = reform.spectrum.lambdas_raw
@@ -531,7 +529,6 @@ def check_null_component_anchoring(
         options.replications,
         options.iterations,
         reform=reform,
-        threads=options.threads,
         x0=_validation_start(problem, options),
     )
     gap = (
@@ -569,7 +566,6 @@ def check_l2_band(
             cfg,
             options.replications,
             options.iterations,
-            threads=options.threads,
             x0=_validation_start(problem, options),
         )
         k = np.arange(options.iterations + 1)
@@ -604,7 +600,6 @@ def check_cesaro_bounds(
         options.replications,
         options.iterations,
         reform=reform,
-        threads=options.threads,
         x0=_validation_start(problem, options),
     )
     lmin = reform.spectrum.lambda_min_plus
@@ -646,7 +641,6 @@ def check_value_decay(
             options.replications,
             options.iterations,
             reform=reform,
-            threads=options.threads,
             x0=_validation_start(problem, options),
         )
         rates = theoretical_rates(spectrum, omega)
@@ -683,7 +677,6 @@ def check_convergence_window(
         cfg,
         max(options.replications // 2, 2),
         options.iterations,
-        threads=options.threads,
         x0=_validation_start(problem, options),
     )
     fitted = fit_rate(np.sqrt(np.maximum(moments.mean_error_norm_sq, 1e-300)))
@@ -733,7 +726,6 @@ def check_parallel_rate_bound(
         options.replications,
         options.iterations,
         method="parallel",
-        threads=options.threads,
         x0=_validation_start(problem, options),
     )
     rho = 1.0 - omega * (2.0 - omega * xi) * reform.spectrum.lambda_min_plus
@@ -779,7 +771,6 @@ def check_accelerated_mean(
         iters,
         reform=reform,
         method="accelerated",
-        threads=options.threads,
         x0=x0,
     )
     exact = expected_mean_error(reform, omega, iters, x0=x0, method="accelerated", gamma=gamma)
@@ -840,7 +831,6 @@ def check_jensen(problem: Problem, reform: Reformulation, options: ValidationOpt
         cfg,
         options.replications,
         options.iterations,
-        threads=options.threads,
         x0=_validation_start(problem, options),
     )
     gap = moments.jensen_gap()

@@ -145,12 +145,12 @@ class TestMonteCarloMoments:
         moments = monte_carlo_moments(problem, FixedIdentity(2), cfg, 3, 4, x0=np.array([5.0, 5.0]))
         assert np.all(moments.l2_error[1:] <= 1e-12)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_two_calls_give_identical_results(self):
         problem, reform = reference_reformulation()
         cfg = SolverConfig(omega=1.0, max_iters=10, master_seed=5)
         kwargs = dict(reform=reform, x0=np.array([3.0, -2.0]))
-        a = monte_carlo_moments(problem, reform.dist, cfg, 50, 10, threads=1, **kwargs)
-        b = monte_carlo_moments(problem, reform.dist, cfg, 50, 10, threads=8, **kwargs)
+        a = monte_carlo_moments(problem, reform.dist, cfg, 50, 10, **kwargs)
+        b = monte_carlo_moments(problem, reform.dist, cfg, 50, 10, **kwargs)
         assert np.array_equal(a.l2_error, b.l2_error)
         assert np.array_equal(a.transformed_mean, b.transformed_mean)
         assert np.array_equal(a.cesaro_error, b.cesaro_error, equal_nan=True)

@@ -2,15 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sketchsolve.analysis import theoretical_rates
 from sketchsolve.cli import main
 from sketchsolve.config import ConfigError, build_distribution, build_problem, load_config
+from sketchsolve.reformulation import build_reformulation
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -149,6 +153,46 @@ class TestCliCommands:
         t1 = (out1 / "trace_basic-unit.csv").read_text()
         t2 = (out2 / "trace_basic-unit.csv").read_text()
         assert t1 != t2
+
+    def test_rates_compare_each_method_with_its_own_factor(self, tmp_path):
+        solvers = [
+            {"method": "basic", "omega": 0.5, "label": "basic-half"},
+            {"method": "parallel", "omega": 1.1111111111111112, "tau": 4, "label": "parallel-4"},
+        ]
+        cfg = write_config(tmp_path, solvers=solvers, replications=100, iterations=25)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "rates.csv").read_text().splitlines()[1:]]
+        predicted = {label: float(value) for label, _, value, _, _ in rows}
+        problem, _ = build_problem(load_config(cfg))
+        spectrum = build_reformulation(problem, build_distribution(load_config(cfg), problem)).spectrum
+        parallel = theoretical_rates(spectrum, 1.1111111111111112, tau=4)
+        assert predicted["parallel-4"] == parallel.parallel_factor
+        assert predicted["parallel-4"] == pytest.approx(0.765432, abs=1e-6)
+        assert predicted["basic-half"] == theoretical_rates(spectrum, 0.5).l2_upper_factor
+
+    def test_divergent_run_is_flagged_not_raised(self, tmp_path):
+        config = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        config["solvers"][0]["omega"] = 3.0
+        config.update(iterations=2000, replications=20)
+        path = tmp_path / "divergent.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(path), "--output-dir", str(out)])
+        assert code in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())
+        solvers = {s["label"]: s for s in summary["solvers"]}
+        divergent = solvers.pop("basic-unit")
+        assert isinstance(divergent["diverged_at"], int) and divergent["diverged_at"] > 0
+        assert divergent["final_l2_mean"] is None
+        assert "fitted_l2_rate" not in divergent
+        assert all(s["diverged_at"] is None for s in solvers.values())
+        rates = (out / "rates.csv").read_text()
+        assert "basic-unit" not in rates
+        trace = (out / "trace_basic-unit.csv").read_text().splitlines()
+        assert trace[-1].startswith("1999,step_sq,")
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

@@ -1,10 +1,14 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sketchsolve.linalg import Problem, SpdMatrix
+from sketchsolve.linalg import Problem, SpdMatrix, _symmetrize, pseudoinverse
 from sketchsolve.reformulation import build_reformulation, sketched_projection, sketched_system
 from sketchsolve.sketching import (
     Block,
+    CountSketch,
     FixedIdentity,
     Gaussian,
     SketchSample,
@@ -13,6 +17,7 @@ from sketchsolve.sketching import (
 )
 from sketchsolve.solvers import (
     SolverConfig,
+    Workspace,
     acceleration_parameters,
     basic_step,
     parallel_step,
@@ -21,6 +26,7 @@ from sketchsolve.solvers import (
     run_accelerated,
     run_basic,
     run_parallel,
+    run_trajectories,
     stepsize_policy,
 )
 
@@ -78,6 +84,35 @@ class TestBasicStep:
 
             expected = x - omega * stochastic_gradient(sys, x)
             assert np.abs(basic_step(problem, x, s, omega) - expected).max() <= 1e-9
+
+
+class TestGeneralStep:
+    @staticmethod
+    def dense_step(problem, x, sketch, omega):
+        s = sketch.matrix
+        v = problem.metric.inv @ problem.A.T @ s
+        gram = _symmetrize(s.T @ (problem.A @ v))
+        y = s.T @ (problem.A @ x - problem.b)
+        u = pseudoinverse(gram) @ y
+        return x - omega * (v @ u), 0.5 * float(y @ u)
+
+    def test_gathered_step_matches_dense_matrix_step(self):
+        # index-set sketches gather rows and drop signs; the dense S gives the same step
+        rng = stream(56, 0)
+        for _ in range(30):
+            problem = random_problem(rng)
+            ws = Workspace(problem)
+            x = rng.standard_normal(problem.n)
+            q = min(3, problem.m)
+            for dist in (CountSketch(problem.m, 3), Block(problem.m, q), Block(problem.m, q, True)):
+                sketch = dist.sample(rng)
+                assert sketch.cols is not None
+                omega = float(rng.uniform(0.2, 1.9))
+                x_next, loss = ws.general_step(x, sketch, omega)
+                dense_next, dense_loss = self.dense_step(problem, x, sketch, omega)
+                scale = max(np.linalg.norm(x), np.linalg.norm(dense_next))
+                assert np.linalg.norm(x_next - dense_next) <= 1e-12 * scale
+                assert abs(loss - dense_loss) <= 1e-12 * max(abs(dense_loss), 1e-300)
 
 
 class TestRunBasic:
@@ -293,6 +328,72 @@ class TestAccelerated:
         # single trajectories fluctuate (only the mean error has a proved
         # rate), so only ask for a comfortable relative reduction
         assert trace.error_sq[-1] <= 1e-6 * trace.error_sq[0]
+
+
+class TestTrajectoryEngine:
+    def test_rows_equal_single_replication_runs(self):
+        rng = stream(57, 0)
+        problem = random_problem(rng)
+        x0 = rng.standard_normal(problem.n)
+        runners = {"basic": run_basic, "parallel": run_parallel, "accelerated": run_accelerated}
+        for dist in (kaczmarz_distribution(problem.A), Gaussian(problem.m, 2)):
+            for method, runner in runners.items():
+                cfg = SolverConfig(
+                    omega=0.9, tau=3, gamma=1.2, max_iters=12, master_seed=8, record=("error_sq", "iterates")
+                )
+                batch = run_trajectories(problem, dist, cfg, method, range(4), x0=x0)
+                for r, trace in enumerate(batch):
+                    single = runner(problem, dist, cfg, x0=x0, replication=r)
+                    assert np.array_equal(trace.iterates, single.iterates)
+                    # the batch takes B-norms of all rows in one product
+                    assert np.allclose(trace.error_sq, single.error_sq, rtol=1e-13, atol=0.0)
+                    assert trace.seed_key == single.seed_key
+
+    def test_unknown_method_rejected(self):
+        problem = reference_problem()
+        cfg = SolverConfig(omega=1.0, max_iters=3, master_seed=1)
+        with pytest.raises(ValueError):
+            run_trajectories(problem, FixedIdentity(2), cfg, "heavy-ball")
+
+    def test_samples_drive_one_replication_only(self):
+        problem = reference_problem()
+        cfg = SolverConfig(omega=1.0, max_iters=2, master_seed=1)
+        with pytest.raises(ValueError):
+            run_trajectories(problem, FixedIdentity(2), cfg, replications=range(2), samples=[column(2, 0)] * 2)
+
+    def test_accelerated_honours_tol(self):
+        problem = reference_problem()
+        dist = kaczmarz_distribution(problem.A)
+        reform = build_reformulation(problem, dist)
+        omega = 1.0 / reform.spectrum.lambda_max
+        gamma, mu = acceleration_parameters(reform.spectrum, omega)
+        cfg = SolverConfig(omega=omega, gamma=gamma, mu=mu, max_iters=500, master_seed=4, tol=1e-6)
+        trace = run_accelerated(problem, dist, cfg, x0=np.array([9.0, -7.0]))
+        assert trace.converged is True
+        assert len(trace.error_sq) < 501
+        assert np.sqrt(trace.error_sq[-1]) <= 1e-6 < np.sqrt(trace.error_sq[-2])
+
+    def test_accelerated_budget_exhaustion_flags_not_converged(self):
+        problem = reference_problem()
+        dist = kaczmarz_distribution(problem.A)
+        cfg = SolverConfig(omega=1.0, gamma=1.5, max_iters=3, master_seed=3, tol=1e-14)
+        trace = run_accelerated(problem, dist, cfg, x0=np.array([4.0, 4.0]))
+        assert trace.converged is False
+        assert len(trace.error_sq) == 4
+
+    def test_divergent_run_flags_first_non_finite_error(self):
+        problem = reference_problem()
+        dist = kaczmarz_distribution(problem.A)
+        cfg = SolverConfig(omega=3.0, max_iters=2000, master_seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow is silenced, not reported per step
+            trace = run_basic(problem, dist, cfg)
+        k = trace.diverged_at
+        assert k is not None and k > 0
+        assert np.all(np.isfinite(trace.error_sq[:k]))
+        assert not np.isfinite(trace.error_sq[k])
+        assert len(trace.error_sq) == 2001
+        assert run_basic(problem, dist, replace(cfg, omega=1.0)).diverged_at is None
 
 
 class TestStepsizePolicy:
