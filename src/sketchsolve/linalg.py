@@ -163,7 +163,15 @@ class SpdMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SpdMatrix":
-        return cls(np.eye(n))
+        """The n-by-n identity; its factorizations are all I, so none is computed."""
+        n = int(n)
+        if n < 1:
+            raise ValueError(f"identity dimension must be positive, got {n}")
+        out = cls.__new__(cls)
+        out.dim = n
+        out.mat = out.sqrt = out.inv_sqrt = out.inv = _readonly(np.eye(n))
+        out.eigenvalues = _readonly(np.ones(n))
+        return out
 
     @classmethod
     def from_diagonal(cls, values) -> "SpdMatrix":

@@ -15,17 +15,25 @@ first access. An enumerated support is one :class:`Support`: stacked
 Streams are keyed by (master seed, stream ids...) through a Philox
 counter-based bit generator, so concurrent tasks can own disjoint
 streams without coordination and every draw sequence is reproducible.
+:func:`stream_keys` derives the Philox keys of many streams at once with
+numpy's SeedSequence pool hash, vectorised over broadcast integer
+arrays; :func:`stream` is its one-row case. Every generator is
+bit-identical to ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``,
+and a batch of streams builds no SeedSequence.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
 __all__ = [
     "stream",
+    "stream_keys",
+    "generator",
     "SketchSample",
     "Support",
     "SketchDistribution",
@@ -41,15 +49,138 @@ __all__ = [
 DEFAULT_SUPPORT_CAP = 100_000
 
 
+# numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx): a pool
+# of four uint32 words, its hashmix and mix functions and their constants
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _key_words(value) -> list:
+    """The uint32 words of one key component, least significant first.
+
+    An integer gives as many words as SeedSequence gives it (0 gives
+    one), as Python integers; an integer array gives one uint32 array,
+    so its entries must be below 2**32.
+    """
+    if np.ndim(value) == 0:
+        n = operator.index(value)
+        if n < 0:
+            raise ValueError(f"stream key components must be non-negative, got {n}")
+        words = [n & _MASK32]
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+        return words
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"stream key components must be integers, got dtype {arr.dtype}")
+    if arr.size and arr.min() < 0:
+        raise ValueError("stream key components must be non-negative")
+    if arr.size and arr.max() > _MASK32:
+        raise ValueError("array stream key components must be below 2**32; pass a larger one as an integer")
+    return [arr.astype(np.uint32)]
+
+
+def _hashmix(value, const: int, mult: int):
+    """One hash step: the hashed word and the next hash constant.
+
+    Words are Python integers or uint32 arrays; masking keeps integers
+    to 32 bits and leaves arrays, whose products wrap, unchanged.
+    """
+    value = value ^ const
+    const = (const * mult) & _MASK32
+    value = (value * const) & _MASK32
+    return value ^ (value >> 16), const
+
+
+def stream_keys(master_seed, *key) -> np.ndarray:
+    """Philox keys of the streams (master_seed, *key), computed together.
+
+    Every argument is a non-negative integer or an integer array; arrays
+    broadcast against each other. Returns a uint64 array of shape
+    ``broadcast shape + (2,)`` whose every row equals
+    ``SeedSequence(master_seed, spawn_key=key).generate_state(2, np.uint64)``
+    for that element's key. One stream is hashed by SeedSequence itself;
+    more are hashed together by a port of its pool hash, which takes
+    array entries as one 32-bit word each, so they must be below 2**32.
+    """
+    args = [a if isinstance(a, (int, np.integer)) else np.asarray(a) for a in (master_seed, *key)]
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    if all(a.size == 1 for a in arrays):
+        # one stream: numpy's compiled SeedSequence hashes a single key
+        # about twice as fast as this port does on Python integers
+        seed, *spawn_key = (a.item() if isinstance(a, np.ndarray) else a for a in args)
+        state = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
+        return state.reshape(*(1,) * max((a.ndim for a in arrays), default=0), 2)
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    entropy = _key_words(args[0])
+    spawn = [w for a in args[1:] for w in _key_words(a)]
+    if spawn and len(entropy) < _POOL_SIZE:
+        # as SeedSequence: a spawned sequence zero-pads its entropy to the pool size
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy += spawn
+
+    # fill the pool from the first words (zeros past the entropy), mix every
+    # pool word into every other, then every further word into all four;
+    # words[:4] is the pool and words[4:] the further words
+    const, words = _INIT_A, []
+    for i in range(_POOL_SIZE):
+        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const, _MULT_A)
+        words.append(word)
+    words += entropy[_POOL_SIZE:]
+    pool = range(_POOL_SIZE)
+    steps = [(s, d) for s in pool for d in pool if s != d]
+    steps += [(s, d) for s in range(_POOL_SIZE, len(words)) for d in pool]
+    for src, dst in steps:
+        word, const = _hashmix(words[src], const, _MULT_A)
+        mixed = (((_MIX_MULT_L * words[dst]) & _MASK32) - ((_MIX_MULT_R * word) & _MASK32)) & _MASK32
+        words[dst] = mixed ^ (mixed >> 16)
+
+    const, state = _INIT_B, []
+    for word in words[:_POOL_SIZE]:
+        word, const = _hashmix(word, const, _MULT_B)
+        state.append(word.astype(np.uint64) if isinstance(word, np.ndarray) else word)
+    # two uint64 words from four uint32 words, each pair little-endian
+    keys = np.empty((*shape, 2), dtype=np.uint64)
+    keys[..., 0] = state[0] | state[1] << 32
+    keys[..., 1] = state[2] | state[3] << 32
+    return keys
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that holds one precomputed Philox key.
+
+    Philox asks its seed sequence for ``generate_state(2, np.uint64)``.
+    Passing this object builds no SeedSequence, where ``Philox(key=...)``
+    would build one from operating-system entropy.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds one Philox key: two uint64 words")
+        return self.key
+
+
+def generator(key: np.ndarray) -> np.random.Generator:
+    """The Philox generator of one row of :func:`stream_keys`."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for the stream (master_seed, *key).
 
     Distinct keys give statistically independent streams; the same key
     always reproduces the same draw sequence regardless of how many
-    other streams are in use.
+    other streams are in use. The generator is bit-identical to
+    ``Generator(Philox(SeedSequence(master_seed, spawn_key=key)))``.
     """
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
+    return generator(stream_keys(master_seed, *key))
 
 
 class SketchSample:

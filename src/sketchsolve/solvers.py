@@ -36,7 +36,7 @@ import numpy as np
 
 from .linalg import Problem, _as_vector, _readonly, _symmetrize, pseudoinverse
 from .reformulation import Spectrum
-from .sketching import Coordinate, SketchDistribution, SketchSample, stream
+from .sketching import Coordinate, SketchDistribution, SketchSample, generator, stream_keys
 
 __all__ = [
     "TRAJECTORY_STREAM",
@@ -291,10 +291,10 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
                 raise ValueError(f"iteration {k}: expected {tau} sketches, got {len(group)}")
         sources, draw = [[iter([g[i] for g in groups]) for i in range(tau)]], next
     else:
-        sources = [
-            [stream(config.master_seed, TRAJECTORY_STREAM, rep, i) for i in range(tau)]
-            for rep in replications
-        ]
+        keys = stream_keys(
+            config.master_seed, TRAJECTORY_STREAM, np.asarray(replications)[:, None], np.arange(tau)
+        )
+        sources = [[generator(key) for key in row] for row in keys]
         draw = dist.sample
         if isinstance(dist, Coordinate):
             rows = np.stack([[dist.sample_indices(g, k_max) for g in row] for row in sources])

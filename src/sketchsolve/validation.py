@@ -5,7 +5,9 @@ Every check audits one identity, bound, or rate statement and reports a
 the worst margin observed (positive margins mean slack, negative mean
 violation). Library-level checks draw their own random instances from
 the master seed; problem-level checks run Monte Carlo experiments on
-the configured problem and distribution.
+the configured problem and distribution, and checks of one
+:func:`run_validation` call that need the same experiment share one run
+of it.
 """
 
 from __future__ import annotations
@@ -304,6 +306,7 @@ def check_quadratic_bounds(options: ValidationOptions) -> CheckResult:
         problem = Problem(a, a @ rng.standard_normal(n), metric)
         reform = build_reformulation(problem, kaczmarz_distribution(a))
         lmin, lmax = reform.spectrum.lambda_min_plus, reform.spectrum.lambda_max
+        exact = reform.exactness() == "exact"
         for _ in range(4):
             x = rng.standard_normal(problem.n)
             f_val = reform.f_value(x)
@@ -318,7 +321,7 @@ def check_quadratic_bounds(options: ValidationOptions) -> CheckResult:
             worst = max(
                 worst, (f_val - 0.5 * lmax * metric.norm_sq(x - x_star_any)) / scale
             )
-            if reform.exactness() == "exact":
+            if exact:
                 proj = problem.project(x)
                 worst = max(
                     worst, (0.5 * lmin * metric.norm_sq(x - proj) - f_val) / scale
@@ -422,7 +425,7 @@ def check_exactness_verdict(reform: Reformulation, options: ValidationOptions) -
 
 
 def check_pathwise_identities(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """Per-step energy identities of the basic method at several stepsizes."""
     tol = 1e-9
@@ -463,19 +466,11 @@ _MC_SKIP_REASON = "needs an exactly known expected operator; estimation is Monte
 
 
 def check_expected_iterates(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """Transformed mean errors follow (1 - w lambda_i)^k componentwise (4 SE)."""
     cfg = SolverConfig(omega=options.omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = monte_carlo_moments(
-        problem,
-        reform.dist,
-        cfg,
-        options.replications,
-        options.iterations,
-        reform=reform,
-        x0=_validation_start(problem, options),
-    )
+    moments = experiments(cfg)
     lam = reform.spectrum.lambdas_raw
     k = np.arange(options.iterations + 1)[:, None]
     predicted = (1.0 - options.omega * lam[None, :]) ** k * moments.initial_transformed[None, :]
@@ -509,7 +504,7 @@ def check_expected_iterates(
 
 
 def check_null_component_anchoring(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """Zero-eigenvalue components stay at zero when anchored at proj(x_0)."""
     lam = reform.spectrum.lambdas_raw
@@ -522,15 +517,7 @@ def check_null_component_anchoring(
             details={"note": "spectrum has no zero eigenvalues"},
         )
     cfg = SolverConfig(omega=options.omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = monte_carlo_moments(
-        problem,
-        reform.dist,
-        cfg,
-        options.replications,
-        options.iterations,
-        reform=reform,
-        x0=_validation_start(problem, options),
-    )
+    moments = experiments(cfg)
     gap = (
         np.abs(moments.transformed_mean[:, null_idx])
         - 4.0 * moments.transformed_se[:, null_idx]
@@ -546,7 +533,7 @@ def check_null_component_anchoring(
 
 
 def check_l2_band(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """E||x_k - x*||_B^2 sits inside the two-sided geometric band (3 SE).
 
@@ -560,14 +547,7 @@ def check_l2_band(
     worst = -np.inf
     for omega in (0.5, options.omega, 1.5):
         cfg = SolverConfig(omega=omega, max_iters=options.iterations, master_seed=options.seed)
-        moments = monte_carlo_moments(
-            problem,
-            reform.dist,
-            cfg,
-            options.replications,
-            options.iterations,
-            x0=_validation_start(problem, options),
-        )
+        moments = experiments(cfg)
         k = np.arange(options.iterations + 1)
         r0 = moments.l2_error[0]
         upper = (1.0 - omega * (2.0 - omega) * lmin) ** k * r0
@@ -586,22 +566,14 @@ def check_l2_band(
 
 
 def check_cesaro_bounds(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """O(1/k) bounds for the running-average iterate (norm and value)."""
     if reform.estimation.kind != "exact":
         return _skipped("theorem:cesaro-average-bounds", _MC_SKIP_REASON)
     omega = options.omega
     cfg = SolverConfig(omega=omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = monte_carlo_moments(
-        problem,
-        reform.dist,
-        cfg,
-        options.replications,
-        options.iterations,
-        reform=reform,
-        x0=_validation_start(problem, options),
-    )
+    moments = experiments(cfg)
     lmin = reform.spectrum.lambda_min_plus
     r0 = moments.l2_error[0]
     k = np.arange(1, options.iterations + 1)
@@ -623,7 +595,7 @@ def check_cesaro_bounds(
 
 
 def check_value_decay(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """Both geometric bounds on E f(x_k), each in its own stepsize regime."""
     if reform.estimation.kind != "exact":
@@ -634,15 +606,7 @@ def check_value_decay(
     omega_general = min(options.omega, 1.9 / spectrum.zeta)
     for tag, omega in (("general", omega_general), ("exactness", options.omega)):
         cfg = SolverConfig(omega=omega, max_iters=options.iterations, master_seed=options.seed)
-        moments = monte_carlo_moments(
-            problem,
-            reform.dist,
-            cfg,
-            options.replications,
-            options.iterations,
-            reform=reform,
-            x0=_validation_start(problem, options),
-        )
+        moments = experiments(cfg)
         rates = theoretical_rates(spectrum, omega)
         k = np.arange(options.iterations + 1)
         if tag == "general":
@@ -666,19 +630,12 @@ def check_value_decay(
 
 
 def check_convergence_window(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """Stepsizes beyond 2/lambda_max leave the mean error non-decaying."""
     omega = 1.3 * 2.0 / reform.spectrum.lambda_max
     cfg = SolverConfig(omega=omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = monte_carlo_moments(
-        problem,
-        reform.dist,
-        cfg,
-        max(options.replications // 2, 2),
-        options.iterations,
-        x0=_validation_start(problem, options),
-    )
+    moments = experiments(cfg, replications=max(options.replications // 2, 2))
     fitted = fit_rate(np.sqrt(np.maximum(moments.mean_error_norm_sq, 1e-300)))
     return CheckResult(
         anchor="corollary:convergence-window",
@@ -708,7 +665,7 @@ def check_optimal_relaxation(reform: Reformulation, options: ValidationOptions) 
 
 
 def check_parallel_rate_bound(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """Per-step L2 contraction of the parallel method obeys its factor."""
     if reform.estimation.kind != "exact":
@@ -719,15 +676,7 @@ def check_parallel_rate_bound(
     cfg = SolverConfig(
         omega=omega, tau=tau, max_iters=options.iterations, master_seed=options.seed
     )
-    moments = monte_carlo_moments(
-        problem,
-        reform.dist,
-        cfg,
-        options.replications,
-        options.iterations,
-        method="parallel",
-        x0=_validation_start(problem, options),
-    )
+    moments = experiments(cfg, "parallel")
     rho = 1.0 - omega * (2.0 - omega * xi) * reform.spectrum.lambda_min_plus
     l2 = moments.l2_error
     se = moments.l2_se
@@ -742,7 +691,7 @@ def check_parallel_rate_bound(
 
 
 def check_accelerated_mean(
-    problem: Problem, reform: Reformulation, options: ValidationOptions
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ) -> CheckResult:
     """Accelerated mean errors track the two-term recursion and its envelope.
 
@@ -763,16 +712,7 @@ def check_accelerated_mean(
         omega=omega, gamma=gamma, mu=mu, max_iters=iters, master_seed=options.seed
     )
     x0 = _validation_start(problem, options)
-    moments = monte_carlo_moments(
-        problem,
-        reform.dist,
-        cfg,
-        options.replications,
-        iters,
-        reform=reform,
-        method="accelerated",
-        x0=x0,
-    )
+    moments = experiments(cfg, "accelerated")
     exact = expected_mean_error(reform, omega, iters, x0=x0, method="accelerated", gamma=gamma)
     mc_norm = np.sqrt(np.maximum(moments.mean_error_norm_sq, 0.0))
     noise = np.sqrt(np.maximum(moments.l2_error, 0.0)) / np.sqrt(moments.replications)
@@ -822,17 +762,12 @@ def _recurrence_constants(e_coef: float, f_coef: float, w0: float) -> float:
     return abs(sol.c0) + abs(sol.c1)
 
 
-def check_jensen(problem: Problem, reform: Reformulation, options: ValidationOptions) -> CheckResult:
+def check_jensen(
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
+) -> CheckResult:
     """||E e_k||_B^2 never exceeds E||e_k||_B^2 beyond sampling noise."""
     cfg = SolverConfig(omega=options.omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = monte_carlo_moments(
-        problem,
-        reform.dist,
-        cfg,
-        options.replications,
-        options.iterations,
-        x0=_validation_start(problem, options),
-    )
+    moments = experiments(cfg)
     gap = moments.jensen_gap()
     return CheckResult(
         anchor="identity:mean-vs-mean-square",
@@ -860,8 +795,8 @@ LIBRARY_CHECKS = {
 }
 
 PROBLEM_CHECKS = {
-    "lemma:spectrum-in-unit-interval": lambda p, r, o: check_spectrum_range(r, o),
-    "theorem:exactness-characterization": lambda p, r, o: check_exactness_verdict(r, o),
+    "lemma:spectrum-in-unit-interval": lambda p, r, o, e: check_spectrum_range(r, o),
+    "theorem:exactness-characterization": lambda p, r, o, e: check_exactness_verdict(r, o),
     "lemma:pathwise-step-identities": check_pathwise_identities,
     "theorem:expected-iterate-recursion": check_expected_iterates,
     "lemma:null-component-anchoring": check_null_component_anchoring,
@@ -869,11 +804,49 @@ PROBLEM_CHECKS = {
     "theorem:cesaro-average-bounds": check_cesaro_bounds,
     "theorem:value-decay": check_value_decay,
     "corollary:convergence-window": check_convergence_window,
-    "theorem:optimal-relaxation-argmin": lambda p, r, o: check_optimal_relaxation(r, o),
+    "theorem:optimal-relaxation-argmin": lambda p, r, o, e: check_optimal_relaxation(r, o),
     "theorem:parallel-rate-bound": check_parallel_rate_bound,
     "theorem:accelerated-mean-decay": check_accelerated_mean,
     "identity:mean-vs-mean-square": check_jensen,
 }
+
+
+def _experiments(problem: Problem, reform: Reformulation, options: ValidationOptions):
+    """The Monte Carlo experiments of one validation pass, each run once.
+
+    Returns ``experiments(config, method="basic", replications=None)``, the
+    :func:`monte_carlo_moments` of ``config.max_iters`` iterations from
+    the validation start (``options.replications`` by default). Every
+    check of a pass starts from the same x_0 with the seed of
+    ``options``, so the method, the solver config and the replication
+    count fix an experiment: checks that ask for the same one share one
+    result, computed with ``reform`` so that it carries every moment.
+    The results are read-only.
+    """
+    x0 = _validation_start(problem, options)
+    done = {}
+
+    def experiments(config: SolverConfig, method: str = "basic", replications: int | None = None):
+        replications = options.replications if replications is None else replications
+        key = (method, config, replications)
+        if key not in done:
+            result = monte_carlo_moments(
+                problem,
+                reform.dist,
+                config,
+                replications,
+                config.max_iters,
+                reform=reform,
+                method=method,
+                x0=x0,
+            )
+            for value in vars(result).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            done[key] = result
+        return done[key]
+
+    return experiments
 
 
 def run_validation(
@@ -882,14 +855,19 @@ def run_validation(
     options: ValidationOptions,
     checks: list[str] | None = None,
 ) -> list[CheckResult]:
-    """Run the selected checks (all by default) in a fixed order."""
+    """Run the selected checks (all by default) in a fixed order.
+
+    Problem-level checks share the Monte Carlo experiments of this call:
+    one that several checks ask for runs once.
+    """
     selected = list(LIBRARY_CHECKS) + list(PROBLEM_CHECKS) if checks is None else list(checks)
+    experiments = _experiments(problem, reform, options)
     results = []
     for name in selected:
         if name in LIBRARY_CHECKS:
             results.append(LIBRARY_CHECKS[name](options))
         elif name in PROBLEM_CHECKS:
-            results.append(PROBLEM_CHECKS[name](problem, reform, options))
+            results.append(PROBLEM_CHECKS[name](problem, reform, options, experiments))
         else:
             raise ValueError(f"unknown check {name!r}")
     return results

@@ -113,6 +113,20 @@ class TestSpdMatrix:
         with pytest.raises(ValueError):
             b.mat[0, 0] = 2.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 100])
+    def test_identity_equals_factorized_eye_bitwise(self, n):
+        built, factorized = SpdMatrix.identity(n), SpdMatrix(np.eye(n))
+        assert built.dim == factorized.dim == n
+        for attr in ("mat", "sqrt", "inv_sqrt", "inv", "eigenvalues"):
+            got, want = getattr(built, attr), getattr(factorized, attr)
+            assert got.dtype == want.dtype and got.shape == want.shape, attr
+            assert got.tobytes() == want.tobytes(), attr
+            assert not got.flags.writeable, attr
+
+    def test_identity_rejects_empty(self):
+        with pytest.raises(ValueError):
+            SpdMatrix.identity(0)
+
 
 class TestBNorm:
     def test_zero(self):

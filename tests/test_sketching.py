@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from sketchsolve.sketching import (
     FixedIdentity,
     Gaussian,
     SketchSample,
+    generator,
     kaczmarz_distribution,
     stream,
+    stream_keys,
 )
 
 # frozen chi-squared quantiles (0.9999 upper tail) by degrees of freedom
@@ -70,6 +74,91 @@ class TestDeterminism:
         gen = stream(5, 2)
         singles = [dist.sample(gen).cols[0] for _ in range(64)]
         assert np.array_equal(batch, singles)
+
+
+def seed_sequence_key(master_seed, *key):
+    return np.random.SeedSequence(master_seed, spawn_key=key).generate_state(2, np.uint64)
+
+
+MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 20240801]
+SCALAR_KEYS = [(), (0,), (202, 0, 0), (202, 399, 3), (2**32 - 1, 2**32), (2**64 + 3, 7), (0,) * 6]
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+    @pytest.mark.parametrize("key", SCALAR_KEYS)
+    def test_one_stream_equals_seed_sequence(self, master_seed, key):
+        got = stream_keys(master_seed, *key)
+        assert got.dtype == np.uint64 and got.shape == (2,)
+        assert np.array_equal(got, seed_sequence_key(master_seed, *key))
+
+    @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+    @pytest.mark.parametrize("key", SCALAR_KEYS)
+    def test_vectorised_hash_equals_seed_sequence(self, master_seed, key):
+        # an array column makes every word of the scalar prefix go through the port
+        got = stream_keys(master_seed, *key, np.arange(3))
+        assert got.dtype == np.uint64 and got.shape == (3, 2)
+        for j, row in enumerate(got):
+            assert np.array_equal(row, seed_sequence_key(master_seed, *key, j))
+
+    @pytest.mark.parametrize("master_seed", [0, 2**32, 2**64 + 3])
+    def test_array_columns_broadcast(self, master_seed):
+        reps = np.array([0, 1, 7, 2**32 - 1])
+        workers = np.arange(3, dtype=np.uint32)
+        got = stream_keys(master_seed, 202, reps[:, None], workers)
+        assert got.shape == (4, 3, 2)
+        for r, rep in enumerate(reps):
+            for i in workers:
+                assert np.array_equal(got[r, i], seed_sequence_key(master_seed, 202, int(rep), int(i)))
+
+    def test_array_master_seed_broadcasts(self):
+        seeds = np.array([3, 2**32 - 1])
+        got = stream_keys(seeds, 5)
+        for row, seed in zip(got, seeds):
+            assert np.array_equal(row, seed_sequence_key(int(seed), 5))
+
+    def test_one_element_arrays_are_one_stream(self):
+        got = stream_keys(9, np.array([[4]]), np.array([2**32]))
+        assert got.shape == (1, 1, 2)
+        assert np.array_equal(got[0, 0], seed_sequence_key(9, 4, 2**32))
+
+    @pytest.mark.parametrize(
+        "args", [(-1,), (0, -3), (0, np.array([1, -1])), (np.array([-1]), 0), (np.array([-1, 1]), 0)]
+    )
+    def test_negative_components_rejected(self, args):
+        with pytest.raises(ValueError):
+            stream_keys(*args)
+        if all(np.ndim(a) == 0 for a in args):
+            with pytest.raises(ValueError):  # as SeedSequence does
+                seed_sequence_key(*args)
+
+    def test_array_entries_beyond_32_bits_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream_keys(0, np.array([1, 2**32]))
+
+    @pytest.mark.parametrize("component", [1.5, np.array([1.0]), np.array([1.0, 2.0])])
+    def test_non_integer_components_rejected(self, component):
+        with pytest.raises(TypeError):
+            stream_keys(0, component)
+
+    def test_no_overflow_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream_keys(2**64 + 3, 2**40, 2**32 - 1)
+            stream_keys(np.uint64(2**63), np.uint32(2**32 - 1), np.arange(5))
+            stream_keys(2**64 - 1, np.array([0, 2**32 - 1], dtype=np.uint32)[:, None], np.arange(4))
+            stream(np.uint32(2**32 - 1), np.int64(9)).random(8)
+
+    @pytest.mark.parametrize("key", [(0,), (202, 3, 1), (2**64 + 3,)])
+    def test_stream_draws_equal_seed_sequence_generator(self, key):
+        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(20240801, spawn_key=key)))
+        assert np.array_equal(stream(20240801, *key).random(8), want.random(8))
+
+    def test_batched_generators_draw_like_streams(self):
+        keys = stream_keys(20240801, 202, np.arange(3)[:, None], np.arange(2))
+        for r in range(3):
+            for i in range(2):
+                assert np.array_equal(generator(keys[r, i]).random(8), stream(20240801, 202, r, i).random(8))
 
 
 class TestFixedIdentity:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sketchsolve import validation
+from sketchsolve.analysis import monte_carlo_moments
 from sketchsolve.linalg import Problem
 from sketchsolve.reformulation import build_reformulation
 from sketchsolve.sketching import Coordinate, kaczmarz_distribution
@@ -90,3 +92,52 @@ def test_range_eigen_bound_master_seed_7():
     # tolerance while the pseudoinverse went through the squared-condition core
     result = LIBRARY_CHECKS["lemma:range-restricted-eigenvalue"](ValidationOptions(seed=7))
     assert result.passed, result.details
+
+
+MC_OPTIONS = ValidationOptions(seed=99, replications=40, iterations=10, omega=1.0, tau=2)
+
+
+@pytest.fixture
+def mc_calls(monkeypatch):
+    """Arguments of every Monte Carlo experiment run_validation starts."""
+    calls = []
+
+    def counted(problem, dist, config, replications, iterations, **kwargs):
+        calls.append((problem, kwargs.get("method", "basic"), config, replications))
+        return monte_carlo_moments(problem, dist, config, replications, iterations, **kwargs)
+
+    monkeypatch.setattr(validation, "monte_carlo_moments", counted)
+    return calls
+
+
+def _outcomes(results):
+    return repr([r.to_dict() for r in results])
+
+
+def test_each_monte_carlo_experiment_runs_once(reference, mc_calls):
+    # eleven requests: five for basic omega = 1 (expected iterates, L2 band,
+    # Cesaro, value decay, Jensen), L2 band at 0.5 and 1.5, value decay's
+    # general regime, the convergence window, parallel and accelerated
+    problem, reform = reference
+    run_validation(problem, reform, MC_OPTIONS, list(PROBLEM_CHECKS))
+    assert len(mc_calls) == 7
+    assert len({(method, config, reps) for _, method, config, reps in mc_calls}) == 7
+
+
+def test_shared_experiments_equal_fresh_ones(reference):
+    problem, reform = reference
+    together = run_validation(problem, reform, MC_OPTIONS, list(PROBLEM_CHECKS))
+    alone = [run_validation(problem, reform, MC_OPTIONS, [name])[0] for name in PROBLEM_CHECKS]
+    assert _outcomes(together) == _outcomes(alone)
+
+
+def test_calls_share_no_experiments(reference, mc_calls):
+    problem, reform = reference
+    other = Problem(np.diag([1.0, 3.0]), [2.0, 3.0])
+    other_reform = build_reformulation(other, kaczmarz_distribution(other.A))
+    first = run_validation(other, other_reform, MC_OPTIONS, list(PROBLEM_CHECKS))
+    run_validation(problem, reform, MC_OPTIONS, list(PROBLEM_CHECKS))
+    mc_calls.clear()
+    again = run_validation(other, other_reform, MC_OPTIONS, list(PROBLEM_CHECKS))
+    assert len(mc_calls) == 7 and all(p is other for p, *_ in mc_calls)
+    assert _outcomes(again) == _outcomes(first)
