@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .linalg import Problem, SpdMatrix
-from .mmio import load_matrix_market, load_vector
+from .mmio import ParseError, load_matrix_market, load_vector
 from .problems import ProblemSpec, generate_problem
 from .sketching import (
     Block,
@@ -154,13 +154,18 @@ def _build_metric(cfg: ExperimentConfig, n: int, generated: SpdMatrix) -> SpdMat
     kind = cfg.metric["kind"]
     if kind in ("identity", "auto"):
         return generated if kind == "auto" else SpdMatrix.identity(n)
-    if kind == "diagonal":
-        values = _get(cfg.metric, "values", "metric", list)
-        if len(values) != n:
-            raise ConfigError("metric.values", f"expected {n} entries, got {len(values)}")
-        return SpdMatrix.from_diagonal([float(v) for v in values])
-    path = _get(cfg.metric, "path", "metric", str)
-    return SpdMatrix(load_matrix_market(path))
+    try:
+        if kind == "diagonal":
+            values = _get(cfg.metric, "values", "metric", list)
+            if len(values) != n:
+                raise ConfigError("metric.values", f"expected {n} entries, got {len(values)}")
+            return SpdMatrix.from_diagonal([float(v) for v in values])
+        path = _get(cfg.metric, "path", "metric", str)
+        return SpdMatrix(load_matrix_market(path))
+    except (ConfigError, ParseError):
+        raise
+    except ValueError as exc:
+        raise ConfigError("metric", str(exc)) from None
 
 
 def build_problem(cfg: ExperimentConfig):

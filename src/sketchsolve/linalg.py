@@ -43,11 +43,12 @@ class InconsistentSystemError(ValueError):
         )
 
 
-def _as_matrix(mat, name: str = "matrix") -> np.ndarray:
+def _as_matrix(mat, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """A finite, non-empty float matrix; with ``stack``, also an (..., r, c) stack of them."""
     a = np.asarray(mat, dtype=float)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    if a.shape[-2] < 1 or a.shape[-1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
@@ -116,16 +117,17 @@ def sym_eigendecomposition(mat, sym_tol: float = 1e-10):
     Returns ``(U, lambdas)`` with orthonormal columns in ``U`` and
     ``U @ diag(lambdas) @ U.T`` reconstructing the input. Raises if the
     input is asymmetric beyond ``sym_tol`` (relative to the largest
-    entry).
+    entry). An (..., n, n) stack is decomposed matrix by matrix, each
+    checked against its own largest entry.
     """
-    a = _as_matrix(mat)
-    if a.shape[0] != a.shape[1]:
+    a = _as_matrix(mat, stack=True)
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > sym_tol * scale:
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if (np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1)) > sym_tol * scale).any():
         raise ValueError("matrix is not symmetric within tolerance")
     lam, u = np.linalg.eigh(_symmetrize(a))
-    return u[:, ::-1].copy(), lam[::-1].copy()
+    return u[..., ::-1].copy(), lam[..., ::-1].copy()
 
 
 class SpdMatrix:

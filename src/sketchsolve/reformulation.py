@@ -164,12 +164,12 @@ def _sketched_rows(a: np.ndarray, sketch: SketchSample) -> np.ndarray:
 
 
 def _gram_pinvs(rows: np.ndarray, metric: SpdMatrix) -> np.ndarray:
-    """(C B^{-1} C')^+ for each (q, n) block C of a stack, symmetrized.
+    """(C B^{-1} C')^+ for each (q, n) block C of an (..., q, n) stack, symmetrized.
 
     Uses the cutoff of :func:`pseudoinverse` on every q-by-q gram.
     """
-    k, q, n = rows.shape
-    binv_rows = (rows.reshape(-1, n) @ metric.inv).reshape(k, q, n)
+    q, n = rows.shape[-2:]
+    binv_rows = (rows.reshape(-1, n) @ metric.inv).reshape(rows.shape)
     gram = _symmetrize(rows @ np.swapaxes(binv_rows, -1, -2))
     return _symmetrize(_svd_pinv(gram, np.finfo(float).eps * q))
 
@@ -188,12 +188,12 @@ def _support_chunks(a: np.ndarray, metric: SpdMatrix, support: Support):
 
 
 def _weighted_z_sum(rows: np.ndarray, gram_pinv: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k C_k' G_k^+ C_k as one contraction over the stack.
+    """sum_k w_k C_k' G_k^+ C_k as one contraction over the (..., K, q, n) stack.
 
     einsum adds the atoms one after another, in support order, as a
-    per-atom sum does.
+    per-atom sum does; leading axes are independent supports.
     """
-    return np.einsum("kqi,kqj->ij", rows, weights[:, None, None] * (gram_pinv @ rows))
+    return np.einsum("...kqi,...kqj->...ij", rows, weights[..., None, None] * (gram_pinv @ rows))
 
 
 def expected_Z(
@@ -274,6 +274,19 @@ class Spectrum:
         }
 
 
+def _positive_floor(lam_raw: np.ndarray, rank_rel_threshold: float = 1e-10):
+    """(rank threshold, lambda_min_plus) of descending eigenvalues, or of each row of a stack.
+
+    The threshold is ``rank_rel_threshold * max(lambda_0, 0)``;
+    lambda_min_plus is the smallest eigenvalue above it, clamped to
+    [0, 1], and infinite where no eigenvalue is above it.
+    """
+    threshold = rank_rel_threshold * np.maximum(lam_raw[..., 0], 0.0)
+    # an eigenvalue above the (nonnegative) threshold needs clamping only at 1
+    positive = np.where(lam_raw > threshold[..., None], np.minimum(lam_raw, 1.0), np.inf)
+    return threshold, positive.min(axis=-1)
+
+
 def spectrum_of(
     ez,
     metric: SpdMatrix,
@@ -296,11 +309,10 @@ def spectrum_of(
         )
     lam = np.clip(lam_raw, 0.0, 1.0)
     lambda_max = float(lam[0])
-    threshold = rank_rel_threshold * max(lam_raw[0], 0.0)
-    positive = lam_raw > threshold
-    if lambda_max <= 0.0 or not positive.any():
+    threshold, lambda_min_plus = _positive_floor(lam_raw, rank_rel_threshold)
+    if lambda_max <= 0.0 or lambda_min_plus == np.inf:
         raise DegenerateSpectrumError("all eigenvalues of W are numerically zero")
-    lambda_min_plus = float(lam[positive][-1])
+    lambda_min_plus = float(lambda_min_plus)
     return Spectrum(
         W=_readonly(w),
         U=_readonly(u),

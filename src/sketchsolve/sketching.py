@@ -460,16 +460,21 @@ class CountMin(SketchDistribution):
         return f"CountMin(m={self.m}, q={self.q})"
 
 
-def kaczmarz_distribution(mat) -> Coordinate:
-    """Row sampling with probabilities proportional to squared row norms.
+def _row_norm_probabilities(a: np.ndarray) -> np.ndarray:
+    """Squared row norms over their total, for a matrix or each matrix of an (..., m, n) stack.
 
     Every row must be nonzero, otherwise its selection probability would
     be paired with an undefined projection.
     """
+    row_sq = np.einsum("...ij,...ij->...i", a, a)
+    if np.any(row_sq == 0.0):
+        raise ValueError(f"matrix has an all-zero row at index {int(np.argmin(row_sq) % a.shape[-2])}")
+    return row_sq / row_sq.sum(axis=-1, keepdims=True)
+
+
+def kaczmarz_distribution(mat) -> Coordinate:
+    """Row sampling with probabilities proportional to squared row norms."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
-    row_sq = np.einsum("ij,ij->i", a, a)
-    if np.any(row_sq == 0.0):
-        raise ValueError(f"matrix has an all-zero row at index {int(np.argmin(row_sq))}")
-    return Coordinate(row_sq / row_sq.sum())
+    return Coordinate(_row_norm_probabilities(a))

@@ -212,6 +212,19 @@ class TestCliCommands:
         assert main(["run", str(path)]) == 2
         assert "ghost.mtx" in capsys.readouterr().err
 
+    def test_invalid_metric_values_exit_two(self, tmp_path):
+        cfg = write_config(tmp_path, metric={"kind": "diagonal", "values": [1.0, -1.0]})
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "diagnose", str(cfg), "--output-dir", str(tmp_path / "o")],
+            capture_output=True,
+            env=env,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: metric:")
+        assert "Traceback" not in proc.stderr
+
     def test_inconsistent_system_exits_two(self, tmp_path, capsys):
         mtx = tmp_path / "a.mtx"
         mtx.write_text(

@@ -294,6 +294,26 @@ class TestStackedExpectations:
         assert _relative_gap(ez, reference_z) <= 1e-12
         assert _relative_gap(build_reformulation(problem, dist).expected_H(), reference_h) <= 1e-12
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity-B", "dense-B"])
+    def test_instance_stacks_match_expected_Z(self, weighted):
+        # a leading instance axis on the support kernels: row sampling of
+        # several systems of one shape under one metric, bit for bit
+        from sketchsolve.linalg import _symmetrize
+        from sketchsolve.reformulation import _gram_pinvs, _weighted_z_sum
+        from sketchsolve.sketching import _row_norm_probabilities
+
+        rng = stream(42, 0)
+        for m, n in ((2, 5), (4, 4), (6, 3)):
+            metric = random_problem(rng, m, n, weighted).metric
+            a = rng.standard_normal((7, m, n))
+            rows = a[..., None, :]
+            probs = _row_norm_probabilities(a)
+            stacked = _symmetrize(_weighted_z_sum(rows, _gram_pinvs(rows, metric), probs))
+            for k in range(len(a)):
+                dist = kaczmarz_distribution(a[k])
+                assert np.array_equal(probs[k], dist.probabilities)
+                assert np.array_equal(stacked[k], expected_Z(a[k], metric, dist)[0])
+
     @pytest.mark.parametrize("dist", [Gaussian(5, 2), CountSketch(5, 3)], ids=repr)
     def test_monte_carlo_draws_match_sketched_systems(self, dist):
         # the estimate is the mean Z over the expectation stream's draws, in order

@@ -88,10 +88,31 @@ def test_results_are_deterministic(reference):
 
 
 def test_range_eigen_bound_master_seed_7():
-    # one random consistent instance at this seed missed Problem's consistency
-    # tolerance while the pseudoinverse went through the squared-condition core
+    # the check passes at this master seed; the instance on which it used to
+    # fail is built as a Problem directly in the next test
     result = LIBRARY_CHECKS["lemma:range-restricted-eigenvalue"](ValidationOptions(seed=7))
     assert result.passed, result.details
+
+
+def test_seed_7_range_eigen_instance_is_consistent():
+    # instance 125 of the range-eigenvalue check's stream at master seed 7, a
+    # 5 x 5 system with smallest singular value 1.9e-4: Problem used to reject
+    # it as inconsistent (residual 8.8e-9 against a tolerance of 6.7e-10) while
+    # the pseudoinverse went through the squared-condition core
+    from sketchsolve.sketching import stream
+
+    rng = stream(7, validation.VALIDATION_STREAM, 6)
+    for k in range(126):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        a = rng.standard_normal((m, n))
+        planted = rng.standard_normal(n)
+        if k < 125:
+            rng.standard_normal(m)
+    assert a.shape == (5, 5)
+    assert np.linalg.svd(a, compute_uv=False)[-1] < 2e-4
+    problem = Problem(a, a @ planted)
+    assert problem.consistency_residual <= 1e-10 * (1.0 + np.linalg.norm(problem.b))
+    assert np.allclose(problem.min_norm_solution, planted, atol=1e-8)
 
 
 MC_OPTIONS = ValidationOptions(seed=99, replications=40, iterations=10, omega=1.0, tau=2)
