@@ -71,6 +71,30 @@ def _write_json(path: Path, payload: dict):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _trace_text(traces) -> str:
+    """The trace CSV of a run: a header, then one line per recorded value.
+
+    A line is ``iter,metric,value,replication``, replications in order,
+    each with its ``error_sq``, ``sketch_loss`` and ``step_sq`` (those
+    recorded). Each block of one metric of one replication is formatted
+    by one ``%`` call on a template of its lines, built once per metric
+    and length with the replication id filled in once per block; ``%r``
+    writes a float as ``repr``, as :func:`_fmt` does.
+    """
+    templates, blocks = {}, ["iter,metric,value,replication\n"]
+    for rep, trace in enumerate(traces):
+        for name in ("error_sq", "sketch_loss", "step_sq"):
+            values = getattr(trace, name)
+            if values is None:
+                continue
+            shape = (name, len(values))
+            if shape not in templates:
+                # split where the replication id goes: joining the pieces by it fills every line
+                templates[shape] = "".join(f"{k},{name},%r,\0\n" for k in range(len(values))).split("\0")
+            blocks.append(str(rep).join(templates[shape]) % tuple(values.tolist()))
+    return "".join(blocks)
+
+
 def _resolve_omega(spec: dict, reform, index: int) -> float:
     if "omega" in spec:
         return float(spec["omega"])
@@ -98,14 +122,7 @@ def _run_solver(spec, index, problem, dist, reform, cfg):
         base = replace(base, gamma=float(gamma), mu=None if mu == "auto" else float(mu))
 
     traces = run_trajectories(problem, dist, base, method, range(cfg.replications))
-    # trace lines are formatted here, in bulk, exactly as _fmt would format the cells
-    lines = [
-        f"{k},{name},{value!r},{rep}"
-        for rep, trace in enumerate(traces)
-        for name in ("error_sq", "sketch_loss", "step_sq")
-        if getattr(trace, name) is not None
-        for k, value in enumerate(getattr(trace, name).tolist())
-    ]
+    text = _trace_text(traces)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent run sums to inf or nan
         l2_mean = np.stack([t.error_sq for t in traces]).mean(axis=0)
     diverged = [t.diverged_at for t in traces if t.diverged_at is not None]
@@ -126,7 +143,7 @@ def _run_solver(spec, index, problem, dist, reform, cfg):
     if fitted is not None:
         summary["fitted_l2_rate"] = fitted.rate
         summary["fit_residual"] = fitted.residual
-    return label, lines, summary
+    return label, text, summary
 
 
 def _validation_options(cfg: ExperimentConfig) -> ValidationOptions:
@@ -175,8 +192,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem, dist, reform = _setup(cfg, out_dir)
     solver_summaries, rate_rows = [], []
     for index, spec in enumerate(cfg.solvers):
-        label, lines, summary = _run_solver(spec, index, problem, dist, reform, cfg)
-        _write_text(out_dir / f"trace_{label}.csv", "\n".join(["iter,metric,value,replication", *lines]) + "\n")
+        label, text, summary = _run_solver(spec, index, problem, dist, reform, cfg)
+        _write_text(out_dir / f"trace_{label}.csv", text)
         solver_summaries.append(summary)
         if "fitted_l2_rate" in summary:
             # each method against its own L2 factor; the accelerated method

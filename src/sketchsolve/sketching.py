@@ -19,7 +19,9 @@ streams without coordination and every draw sequence is reproducible.
 numpy's SeedSequence pool hash, vectorised over broadcast integer
 arrays; :func:`stream` is its one-row case. Every generator is
 bit-identical to ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``,
-and a batch of streams builds no SeedSequence.
+and a batch of streams builds no SeedSequence. :func:`uniforms` draws
+from many keyed streams through one Philox generator that is restarted
+on each key in turn, so a batch builds one generator, not one per stream.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "stream",
     "stream_keys",
     "generator",
+    "uniforms",
     "SketchSample",
     "Support",
     "SketchDistribution",
@@ -170,6 +173,36 @@ class _PhiloxKey(np.random.bit_generator.ISeedSequence):
 def generator(key: np.ndarray) -> np.random.Generator:
     """The Philox generator of one row of :func:`stream_keys`."""
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
+def _rekeyed(keys: np.ndarray):
+    """One Philox generator, yielded once per key row of ``keys``.
+
+    Before each further yield it is restarted on the next key through the
+    public ``bit_generator.state`` setter: counter 0 and an empty buffer,
+    as a fresh ``Philox`` of that key has. One key builds one generator
+    and restarts nothing.
+    """
+    rng = generator(keys[0])
+    fresh = rng.bit_generator.state if len(keys) > 1 else None
+    yield rng
+    for key in keys[1:]:
+        fresh["state"]["key"] = key
+        rng.bit_generator.state = fresh
+        yield rng
+
+
+def uniforms(keys: np.ndarray, count: int) -> np.ndarray:
+    """``generator(key).random(count)`` for every key row, as one ``(..., count)`` array.
+
+    ``keys`` is a ``(..., 2)`` array from :func:`stream_keys`.
+    """
+    keys, count = np.asarray(keys, dtype=np.uint64), int(count)
+    flat = keys.reshape(-1, 2)
+    out = np.empty((len(flat), count))
+    for row, rng in zip(out, _rekeyed(flat)):
+        rng.random(out=row)
+    return out.reshape(*keys.shape[:-1], count)
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -341,6 +374,10 @@ class Coordinate(SketchDistribution):
             self._atoms[i] = SketchSample(cols=(i,), m=self.m)
         return self._atoms[i]
 
+    def indices(self, uniforms: np.ndarray) -> np.ndarray:
+        """The row index of each uniform in [0, 1), by inverse transform; same shape."""
+        return np.searchsorted(self._cum, uniforms, side="right")
+
     def sample_indices(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` row indices in one call.
 
@@ -348,11 +385,10 @@ class Coordinate(SketchDistribution):
         sequence is identical to ``count`` single draws from the same
         stream state.
         """
-        return np.searchsorted(self._cum, rng.random(count), side="right")
+        return self.indices(rng.random(count))
 
     def sample(self, rng):
-        i = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        return self._atom(i)
+        return self._atom(int(self.indices(rng.random())))
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
         rows = np.flatnonzero(self.probabilities > 0.0)

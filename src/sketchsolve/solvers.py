@@ -36,7 +36,7 @@ import numpy as np
 
 from .linalg import Problem, _as_vector, _readonly, _symmetrize, pseudoinverse
 from .reformulation import Spectrum
-from .sketching import Coordinate, SketchDistribution, SketchSample, generator, stream_keys
+from .sketching import Coordinate, SketchDistribution, SketchSample, generator, stream_keys, uniforms
 
 __all__ = [
     "TRAJECTORY_STREAM",
@@ -274,10 +274,12 @@ def _within(error_sq: float, tol: float) -> bool:
 def _sketch_steps(ws, dist, config, method, replications, tau, samples):
     """The function (x, k) -> (mean sketched step, first sketch loss) of iteration k.
 
-    Coordinate sampling draws every row index of each stream up front and
-    steps all replications in one gathered update. Other distributions,
-    and given ``samples`` (one replication), are drawn and stepped sketch
-    by sketch.
+    Coordinate sampling draws the uniforms of all R x tau streams up
+    front, through one re-keyed Philox generator (:func:`uniforms`), maps
+    them to row indices with one ``searchsorted`` and steps all
+    replications in one gathered update. Other distributions build one
+    generator per stream and, like given ``samples`` (one replication),
+    are drawn and stepped sketch by sketch.
     """
     omega, k_max = config.omega, config.max_iters
     if samples is not None:
@@ -294,12 +296,12 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
         keys = stream_keys(
             config.master_seed, TRAJECTORY_STREAM, np.asarray(replications)[:, None], np.arange(tau)
         )
+        if isinstance(dist, Coordinate):
+            # (R, tau, K) uniforms; searchsorted writes the (K, R, tau) indices contiguously
+            rows = dist.indices(uniforms(keys, k_max).transpose(2, 0, 1))
+            return lambda x, k: ws.coordinate_step(x, rows[k], omega)
         sources = [[generator(key) for key in row] for row in keys]
         draw = dist.sample
-        if isinstance(dist, Coordinate):
-            rows = np.stack([[dist.sample_indices(g, k_max) for g in row] for row in sources])
-            rows = np.ascontiguousarray(np.moveaxis(rows, 2, 0))  # (K, R, tau)
-            return lambda x, k: ws.coordinate_step(x, rows[k], omega)
 
     def general(x, k):
         x_next, loss = np.empty_like(x), np.empty(len(x))
@@ -388,6 +390,16 @@ def run_trajectories(
     elapsed = time.perf_counter() - t0
     error_sq = error_sq[:, : steps + 1]
     finite = np.isfinite(error_sq)
+    diverged_at = [None] * n_reps
+    if not finite.all():
+        # the first non-finite error of each row; argmin lands on a finite one only if all are
+        first_bad = np.argmin(finite, axis=1)
+        for r in np.flatnonzero(~finite[np.arange(n_reps), first_bad]):
+            diverged_at[r] = int(first_bad[r])
+    converged = [None] * n_reps
+    if tol is not None:
+        # _within for every row at once: a nan error is not within tol
+        converged = (np.sqrt(np.maximum(error_sq[:, -1], 0.0)) <= tol).tolist()
     key = (config.master_seed, TRAJECTORY_STREAM)
     return [
         IterationTrace(
@@ -402,8 +414,8 @@ def run_trajectories(
             iterates=None if iterates is None else iterates[r, : steps + 1],
             seed_key=key + ((rep,) if method == "parallel" else (rep, 0)),
             elapsed=elapsed,
-            converged=None if tol is None else _within(error_sq[r, -1], tol),
-            diverged_at=None if finite[r].all() else int(np.argmin(finite[r])),
+            converged=converged[r],
+            diverged_at=diverged_at[r],
         )
         for r, rep in enumerate(replications)
     ]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from sketchsolve.analysis import theoretical_rates
-from sketchsolve.cli import main
+from sketchsolve.cli import _trace_text, main
 from sketchsolve.config import ConfigError, build_distribution, build_problem, load_config
 from sketchsolve.reformulation import build_reformulation
+from sketchsolve.solvers import IterationTrace
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -247,3 +248,40 @@ class TestCliCommands:
             env=env,
         )
         assert proc.returncode == 0
+
+
+def per_line_trace_text(traces) -> str:
+    """The trace CSV as written one f-string per line, before block templates."""
+    lines = [
+        f"{k},{name},{value!r},{rep}"
+        for rep, trace in enumerate(traces)
+        for name in ("error_sq", "sketch_loss", "step_sq")
+        if getattr(trace, name) is not None
+        for k, value in enumerate(getattr(trace, name).tolist())
+    ]
+    return "\n".join(["iter,metric,value,replication", *lines]) + "\n"
+
+
+class TestTraceWriter:
+    SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-05, 5e-324, 0.1 + 0.2, -1.5, 2.0**-1074 * 3])
+
+    def trace(self, error_sq, sketch_loss=None, step_sq=None):
+        return IterationTrace("basic", 1.0, np.zeros(2), error_sq, sketch_loss=sketch_loss, step_sq=step_sq)
+
+    def test_blocks_equal_per_line_format(self):
+        values = self.SPECIAL
+        traces = [
+            self.trace(np.append(values, 1.0), values, values[::-1].copy()),
+            self.trace(np.append(values[::-1], 7.0), values[::-1].copy(), values),
+        ] * 6  # replication ids past 9
+        assert _trace_text(traces) == per_line_trace_text(traces)
+
+    def test_zero_step_and_unrecorded_metrics(self):
+        empty = np.empty(0)
+        traces = [
+            self.trace(np.array([4.0]), empty, empty),  # zero steps: empty sketch_loss and step_sq
+            self.trace(self.SPECIAL),  # parallel and accelerated record error_sq only
+            self.trace(np.array([-0.0])),
+        ]
+        assert _trace_text(traces) == per_line_trace_text(traces)
+        assert _trace_text([]) == per_line_trace_text([]) == "iter,metric,value,replication\n"

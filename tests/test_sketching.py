@@ -11,10 +11,13 @@ from sketchsolve.sketching import (
     FixedIdentity,
     Gaussian,
     SketchSample,
+    _PhiloxKey,
+    _rekeyed,
     generator,
     kaczmarz_distribution,
     stream,
     stream_keys,
+    uniforms,
 )
 
 # frozen chi-squared quantiles (0.9999 upper tail) by degrees of freedom
@@ -159,6 +162,53 @@ class TestStreamKeys:
         for r in range(3):
             for i in range(2):
                 assert np.array_equal(generator(keys[r, i]).random(8), stream(20240801, 202, r, i).random(8))
+
+
+def assert_same_state(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, dict):
+            assert_same_state(got[name], value)
+        else:
+            assert np.array_equal(got[name], value), name
+
+
+class TestUniforms:
+    # counts that are not multiples of four leave buffered Philox words behind,
+    # which must not leak into the next key's draws
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (5, 4)])
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 1000])
+    def test_rows_equal_one_generator_per_key(self, shape, count):
+        rows, cols = shape
+        keys = stream_keys(20240801, 202, np.arange(rows)[:, None], np.arange(cols))
+        got = uniforms(keys, count)
+        assert got.shape == (rows, cols, count)
+        for r in range(rows):
+            for i in range(cols):
+                assert np.array_equal(got[r, i], generator(keys[r, i]).random(count)), (r, i)
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5])
+    def test_rekeyed_state_equals_fresh_philox(self, count):
+        keys = stream_keys(7, 202, np.arange(5)[:, None], np.arange(4)).reshape(-1, 2)
+        for k, rng in enumerate(_rekeyed(keys)):
+            assert_same_state(rng.bit_generator.state, np.random.Philox(_PhiloxKey(keys[k])).state)
+            rng.random(count)
+        assert k == len(keys) - 1
+
+    def test_single_key_draws_like_stream(self):
+        assert np.array_equal(uniforms(stream_keys(3, 202, 0, 0), 6), stream(3, 202, 0, 0).random(6))
+
+    def test_no_keys_draw_nothing(self):
+        assert uniforms(np.empty((0, 3, 2), dtype=np.uint64), 4).shape == (0, 3, 4)
+
+    @pytest.mark.parametrize("tau", [1, 4])
+    def test_batched_coordinate_rows_equal_sample_indices(self, tau):
+        dist = Coordinate([0.1, 0.5, 0.15, 0.25])
+        keys = stream_keys(20240801, 202, np.arange(6)[:, None], np.arange(tau))
+        rows = dist.indices(uniforms(keys, 50))
+        for r in range(6):
+            for i in range(tau):
+                assert np.array_equal(rows[r, i], dist.sample_indices(generator(keys[r, i]), 50)), (r, i)
 
 
 class TestFixedIdentity:

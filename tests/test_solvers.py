@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -394,6 +395,28 @@ class TestTrajectoryEngine:
         assert not np.isfinite(trace.error_sq[k])
         assert len(trace.error_sq) == 2001
         assert run_basic(problem, dist, replace(cfg, omega=1.0)).diverged_at is None
+
+
+    @pytest.mark.parametrize(
+        "omega, iters, tol, covers",
+        [
+            (3.0, 640, 1e-3, lambda traces: {t.diverged_at is None for t in traces} == {True, False}),
+            (1e100, 6, 1e-3, lambda traces: all(np.isnan(t.error_sq[-1]) for t in traces)),
+            (1.0, 3, 1e-12, lambda traces: {t.converged for t in traces} == {True, False}),
+        ],
+        ids=["some-rows-overflow", "nan-errors", "some-rows-converge"],
+    )
+    def test_flags_equal_row_by_row_rule(self, omega, iters, tol, covers):
+        problem = reference_problem()
+        dist = kaczmarz_distribution(problem.A)
+        cfg = SolverConfig(omega=omega, max_iters=iters, master_seed=1, tol=tol)
+        traces = run_trajectories(problem, dist, cfg, "basic", range(8))
+        assert covers(traces)
+        for trace in traces:
+            e = trace.error_sq
+            finite = np.isfinite(e)
+            assert trace.diverged_at == (None if finite.all() else int(np.argmin(finite)))
+            assert trace.converged is (math.sqrt(max(float(e[-1]), 0.0)) <= tol)
 
 
 class TestStepsizePolicy:
