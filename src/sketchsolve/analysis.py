@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .linalg import Problem, _as_vector
-from .reformulation import Reformulation, Spectrum
+from .reformulation import Reformulation, Spectrum, rho_basic
 from .sketching import SketchDistribution
 # run_basic, run_parallel and run_accelerated stay importable from here and
 # from cli because bench/tracing.py wraps them where it looks them up
@@ -163,13 +163,6 @@ def monte_carlo_moments(
         omega=config.omega,
         tau=config.tau if method == "parallel" else 1,
     )
-
-
-def rho_basic(spectrum: Spectrum, omega: float) -> float:
-    """Mean-error contraction factor max over positive eigenvalues of (1-wl)^2."""
-    lo = (1.0 - omega * spectrum.lambda_min_plus) ** 2
-    hi = (1.0 - omega * spectrum.lambda_max) ** 2
-    return max(lo, hi)
 
 
 def xi_factor(spectrum: Spectrum, tau: int) -> float:

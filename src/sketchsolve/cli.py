@@ -37,6 +37,7 @@ from .reformulation import build_reformulation
 # from analysis because bench/tracing.py wraps them where it looks them up
 from .solvers import (  # noqa: F401
     SolverConfig,
+    _acceleration_gamma,
     acceleration_parameters,
     run_accelerated,
     run_basic,
@@ -95,32 +96,38 @@ def _trace_text(traces) -> str:
     return "".join(blocks)
 
 
-def _resolve_omega(spec: dict, reform, index: int) -> float:
-    if "omega" in spec:
-        return float(spec["omega"])
-    policy = spec.get("policy")
-    if policy is None:
-        raise ConfigError(f"solvers[{index}]", "needs omega or policy")
-    return stepsize_policy(reform.spectrum, policy)
-
-
-def _run_solver(spec, index, problem, dist, reform, cfg):
-    method = spec["method"]
-    omega = _resolve_omega(spec, reform, index)
+def _solver_config(spec: dict, reform, cfg: ExperimentConfig) -> SolverConfig:
+    if "omega" not in spec and spec.get("policy") is None:
+        raise ValueError("needs omega or policy")
+    omega = float(spec["omega"]) if "omega" in spec else stepsize_policy(reform.spectrum, spec["policy"])
     iters = int(spec.get("iterations", cfg.iterations))
-    label = spec.get("label", f"{method}-{index}")
-    base = SolverConfig(omega=omega, max_iters=iters, master_seed=cfg.seed, tau=int(spec.get("tau", 1)))
-    if method == "accelerated":
-        gamma = spec.get("gamma")
-        mu = spec.get("mu", "auto")
+    config = SolverConfig(omega=omega, max_iters=iters, master_seed=cfg.seed, tau=int(spec.get("tau", 1)))
+    if spec["method"] != "accelerated":
+        return config
+    gamma, mu = spec.get("gamma"), spec.get("mu", "auto")
+    if mu == "auto":
         if gamma is None:
-            if mu == "auto":
-                gamma, mu = acceleration_parameters(reform.spectrum, omega)
-            else:
-                mu = float(mu)
-                gamma = 2.0 / (1.0 + np.sqrt(mu))
-        base = replace(base, gamma=float(gamma), mu=None if mu == "auto" else float(mu))
+            gamma, mu = acceleration_parameters(reform.spectrum, omega)
+        return replace(config, gamma=float(gamma), mu=None if mu == "auto" else float(mu))
+    # an explicit mu must lie in (0, 1); a given gamma wins over the one mu implies
+    implied = _acceleration_gamma(replace(config, mu=float(mu)))
+    return replace(config, gamma=implied if gamma is None else float(gamma), mu=float(mu))
 
+
+def _solver_configs(cfg: ExperimentConfig, reform) -> list[SolverConfig]:
+    """The SolverConfig of every solver spec; an invalid spec raises ConfigError."""
+    configs = []
+    for index, spec in enumerate(cfg.solvers):
+        try:
+            configs.append(_solver_config(spec, reform, cfg))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"solvers[{index}]", str(exc)) from None
+    return configs
+
+
+def _run_solver(spec, index, base, problem, dist, reform, cfg):
+    method, omega, iters = spec["method"], base.omega, base.max_iters
+    label = spec.get("label", f"{method}-{index}")
     traces = run_trajectories(problem, dist, base, method, range(cfg.replications))
     text = _trace_text(traces)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent run sums to inf or nan
@@ -190,9 +197,10 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem, dist, reform = _setup(cfg, out_dir)
+    configs = _solver_configs(cfg, reform)
     solver_summaries, rate_rows = [], []
-    for index, spec in enumerate(cfg.solvers):
-        label, text, summary = _run_solver(spec, index, problem, dist, reform, cfg)
+    for index, (spec, config) in enumerate(zip(cfg.solvers, configs)):
+        label, text, summary = _run_solver(spec, index, config, problem, dist, reform, cfg)
         _write_text(out_dir / f"trace_{label}.csv", text)
         solver_summaries.append(summary)
         if "fitted_l2_rate" in summary:
@@ -210,6 +218,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem, _, reform = _setup(cfg, out_dir)
+    _solver_configs(cfg, reform)  # the validation options read the solver specs
     checks = cfg.checks if cfg.checks is not None else [*LIBRARY_CHECKS, *PROBLEM_CHECKS]
     results = run_validation(problem, reform, _validation_options(cfg), checks)
     _write_csv(

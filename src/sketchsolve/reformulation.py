@@ -56,6 +56,7 @@ __all__ = [
     "EstimationInfo",
     "expected_Z",
     "Spectrum",
+    "rho_basic",
     "spectrum_of",
     "Reformulation",
     "build_reformulation",
@@ -274,6 +275,13 @@ class Spectrum:
         }
 
 
+def rho_basic(spectrum: Spectrum, omega: float) -> float:
+    """Mean-error contraction factor max over positive eigenvalues of (1-wl)^2."""
+    lo = (1.0 - omega * spectrum.lambda_min_plus) ** 2
+    hi = (1.0 - omega * spectrum.lambda_max) ** 2
+    return max(lo, hi)
+
+
 def _positive_floor(lam_raw: np.ndarray, rank_rel_threshold: float = 1e-10):
     """(rank threshold, lambda_min_plus) of descending eigenvalues, or of each row of a stack.
 
@@ -387,19 +395,12 @@ class Reformulation:
     def diagnostics(self) -> dict:
         spec = self.spectrum
         omega_star = 2.0 / (spec.lambda_min_plus + spec.lambda_max)
-
-        def rho(omega):
-            return max(
-                (1.0 - omega * spec.lambda_min_plus) ** 2,
-                (1.0 - omega * spec.lambda_max) ** 2,
-            )
-
         out = spec.to_dict()
         out["exactness"] = self.exactness()
         out["omega_star"] = omega_star
-        out["rho_unit"] = rho(1.0)
-        out["rho_inverse_lambda_max"] = rho(1.0 / spec.lambda_max)
-        out["rho_omega_star"] = rho(omega_star)
+        out["rho_unit"] = rho_basic(spec, 1.0)
+        out["rho_inverse_lambda_max"] = rho_basic(spec, 1.0 / spec.lambda_max)
+        out["rho_omega_star"] = rho_basic(spec, omega_star)
         return out
 
 

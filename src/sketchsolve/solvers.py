@@ -19,10 +19,12 @@ A proximal step is included as an equivalence oracle: for
 f_S(z) + (1-omega)/(2 omega) ||z - x||_B^2.
 
 One trajectory engine, :func:`run_trajectories`, runs every method: it
-steps all replications in lockstep as one (R, n) array. Trajectories are
-reproducible: each (replication, worker) pair owns a keyed
-counter-based stream, so a replication's trace does not depend on which
-other replications run beside it.
+steps all replications in lockstep as one (R, n) array, by the row step
+:meth:`Workspace.coordinate_step` under Coordinate sampling and else by
+the stacked :meth:`Workspace.general_step`, which the single steps share.
+Trajectories are reproducible: each (replication, worker) pair owns a
+keyed counter-based stream, so a replication's trace does not depend on
+which other replications run beside it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Problem, _as_vector, _readonly, _symmetrize, pseudoinverse
+from .linalg import Problem, _as_vector, _readonly, _svd_pinv, _symmetrize, pseudoinverse
 from .reformulation import Spectrum
 from .sketching import Coordinate, SketchDistribution, SketchSample, generator, stream_keys, uniforms
 
@@ -169,34 +171,46 @@ class Workspace:
         x_next = x - ((coef * (omega / cols.shape[1]))[:, None, :] @ self.binv_rows[cols])[:, 0, :]
         return x_next, 0.5 * y[:, 0] * coef[:, 0]
 
-    def general_step(self, x: np.ndarray, sketch: SketchSample, omega: float):
-        """One sketched step for an arbitrary sketch. Returns (x_next, loss).
+    def general_step(self, x: np.ndarray, sketches, omega: float):
+        """Averaged sketched steps for one iteration, all rows of x at once.
+
+        ``x`` is (R, n) and ``sketches`` holds R groups of tau sketches, all
+        index sets or all dense, all with the same q; row r of the result
+        is the mean of the steps from x[r] with the sketches of group r.
+        Returns (x_next, sketch_loss), the loss of each row's first step.
 
         An index-set sketch gathers its rows: S'A = A[cols] and
         S'(Ax - b) = (Ax - b)[cols]. Column signs are dropped because
-        D (D G D)^+ D = G^+ for a diagonal sign matrix D. A dense sketch
-        is multiplied out.
+        D (D G D)^+ D = G^+ for a diagonal sign matrix D, and a one-column
+        set takes the closed-form step. A dense sketch is multiplied out.
+        Every q-by-q gram of the (R, tau) stack is pseudo-inverted at the
+        cutoff of :func:`pseudoinverse`.
         """
-        if sketch.cols is not None:
-            cols = list(sketch.cols)
-            rows = self.A[cols]
-            v = self.binv_at[:, cols]
-            gram = _symmetrize(rows @ v)
-            y = rows @ x - self.b[cols]
-        else:
-            s = sketch.matrix
+        flat = [sketch for group in sketches for sketch in group]
+        kinds = {(len(group), sketch.cols is None, sketch.q) for group in sketches for sketch in group}
+        if len(kinds) != 1:
+            raise ValueError(f"groups must share one size, kind and q; got (tau, dense, q) in {sorted(kinds)}")
+        ((tau, dense, q),) = kinds
+        if dense:
+            s = np.array([sketch.matrix for sketch in flat]).reshape(len(sketches), tau, -1, q)
+            s_t = s.swapaxes(-1, -2)
             v = self.binv_at @ s
-            gram = _symmetrize(s.T @ (self.A @ v))
-            y = s.T @ (self.A @ x - self.b)
-        u = pseudoinverse(gram) @ y
-        return x - omega * (v @ u), 0.5 * float(y @ u)
-
-    def step(self, x: np.ndarray, sketch: SketchSample, omega: float):
-        """One sketched step from the vector x. Returns (x_next, loss)."""
-        if sketch.cols is not None and sketch.q == 1:
-            x_next, loss = self.coordinate_step(x[None], np.array([sketch.cols]), omega)
-            return x_next[0], float(loss)
-        return self.general_step(x, sketch, omega)
+            gram = s_t @ (self.A @ v)
+            y = (s_t @ (self.A @ x[:, :, None] - self.b[:, None])[:, None])[..., 0]
+        else:
+            cols = np.array([sketch.cols for sketch in flat]).reshape(len(sketches), tau, q)
+            rows = self.A[cols]
+            y = (rows @ x[:, None, :, None])[..., 0] - self.b[cols]
+            if q == 1:
+                coef = y / self._step_gram[cols]
+                z = x[:, None] - (omega * coef) * self.binv_rows[cols[..., 0]]
+                return z.sum(axis=1) / tau, 0.5 * y[:, 0, 0] * coef[:, 0, 0]
+            v = self.binv_rows[cols].swapaxes(-1, -2)
+            gram = rows @ v
+        u = _svd_pinv(_symmetrize(gram), np.finfo(float).eps * q) @ y[..., None]
+        z = x[:, None] - omega * (v @ u)[..., 0]
+        loss = 0.5 * (y[:, 0, None, :] @ u[:, 0])[:, 0, 0]
+        return z.sum(axis=1) / tau, loss
 
 
 # a Workspace holds no reference to its problem, so an entry lives as long as the problem
@@ -213,22 +227,15 @@ def workspace(problem: Problem) -> Workspace:
 
 def basic_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.ndarray:
     """One step of the basic method from x with the given sketch."""
-    return workspace(problem).step(_as_vector(x, problem.n), sketch, float(omega))[0]
+    return parallel_step(problem, x, [sketch], omega)
 
 
 def parallel_step(problem: Problem, x, sketches, omega: float) -> np.ndarray:
     """Average of independent sketched steps taken from the same x."""
     if len(sketches) < 1:
         raise ValueError("need at least one sketch")
-    return _mean_step(workspace(problem), _as_vector(x, problem.n), sketches, float(omega))[0]
-
-
-def _mean_step(ws: Workspace, x: np.ndarray, sketches, omega: float):
-    """Mean of the steps from x, and the loss of the first sketch."""
-    steps = [ws.step(x, sketch, omega) for sketch in sketches]
-    if len(steps) == 1:
-        return steps[0]
-    return sum(z for z, _ in steps) / len(steps), steps[0][1]
+    rows = _as_vector(x, problem.n)[None]
+    return workspace(problem).general_step(rows, [list(sketches)], float(omega))[0][0]
 
 
 def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.ndarray:
@@ -244,7 +251,7 @@ def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.nda
         raise ValueError(f"prox step requires 0 < omega <= 1, got {omega}")
     v = _as_vector(x, problem.n)
     if omega == 1.0:
-        return workspace(problem).step(v, sketch, 1.0)[0]
+        return basic_step(problem, v, sketch, 1.0)
     s = sketch.matrix
     c = problem.A.T @ s
     gram = _symmetrize(s.T @ (problem.A @ (problem.metric.inv @ c)))
@@ -278,8 +285,9 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
     front, through one re-keyed Philox generator (:func:`uniforms`), maps
     them to row indices with one ``searchsorted`` and steps all
     replications in one gathered update. Other distributions build one
-    generator per stream and, like given ``samples`` (one replication),
-    are drawn and stepped sketch by sketch.
+    generator per stream and draw the R x tau sketches of each iteration
+    from them; these, or the given ``samples`` (one replication), take
+    one stacked :meth:`Workspace.general_step` per iteration.
     """
     omega, k_max = config.omega, config.max_iters
     if samples is not None:
@@ -291,25 +299,16 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
         for k, group in enumerate(groups):
             if len(group) != tau:
                 raise ValueError(f"iteration {k}: expected {tau} sketches, got {len(group)}")
-        sources, draw = [[iter([g[i] for g in groups]) for i in range(tau)]], next
-    else:
-        keys = stream_keys(
-            config.master_seed, TRAJECTORY_STREAM, np.asarray(replications)[:, None], np.arange(tau)
-        )
-        if isinstance(dist, Coordinate):
-            # (R, tau, K) uniforms; searchsorted writes the (K, R, tau) indices contiguously
-            rows = dist.indices(uniforms(keys, k_max).transpose(2, 0, 1))
-            return lambda x, k: ws.coordinate_step(x, rows[k], omega)
-        sources = [[generator(key) for key in row] for row in keys]
-        draw = dist.sample
-
-    def general(x, k):
-        x_next, loss = np.empty_like(x), np.empty(len(x))
-        for r, row in enumerate(sources):
-            x_next[r], loss[r] = _mean_step(ws, x[r], [draw(g) for g in row], omega)
-        return x_next, loss
-
-    return general
+        return lambda x, k: ws.general_step(x, [groups[k]], omega)
+    keys = stream_keys(
+        config.master_seed, TRAJECTORY_STREAM, np.asarray(replications)[:, None], np.arange(tau)
+    )
+    if isinstance(dist, Coordinate):
+        # (R, tau, K) uniforms; searchsorted writes the (K, R, tau) indices contiguously
+        rows = dist.indices(uniforms(keys, k_max).transpose(2, 0, 1))
+        return lambda x, k: ws.coordinate_step(x, rows[k], omega)
+    sources = [[generator(key) for key in row] for row in keys]
+    return lambda x, k: ws.general_step(x, [[dist.sample(g) for g in row] for row in sources], omega)
 
 
 def run_trajectories(

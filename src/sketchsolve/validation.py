@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
+    _closed_form,
     expected_mean_error,
     fit_rate,
     iterate_recurrence,
@@ -44,10 +45,11 @@ from .reformulation import (
     stochastic_gradient,
     stochastic_value,
 )
-from .sketching import _row_norm_probabilities, kaczmarz_distribution, stream
+from .sketching import SketchSample, _row_norm_probabilities, kaczmarz_distribution, stream
 from .solvers import (
     SolverConfig,
     acceleration_parameters,
+    basic_step,
     pathwise_residuals,
     prox_step,
     run_basic,
@@ -149,8 +151,6 @@ def check_sketch_identities(options: ValidationOptions) -> CheckResult:
 
 
 def _sample_of(matrix):
-    from .sketching import SketchSample
-
     return SketchSample(np.array(matrix))
 
 
@@ -182,8 +182,6 @@ def check_prox_equivalence(options: ValidationOptions) -> CheckResult:
     tol = 1e-8
     worst = 0.0
     trials = max(20, options.instances // 2)
-    from .solvers import basic_step
-
     for _ in range(trials):
         problem, s = _random_instance(rng)
         sample = _sample_of(s)
@@ -772,8 +770,6 @@ def check_accelerated_mean(
 
 def _recurrence_constants(e_coef: float, f_coef: float, w0: float) -> float:
     """|C0| + |C1| of the closed-form recurrence solution started at (w0, w0)."""
-    from .analysis import _closed_form
-
     sol = _closed_form(e_coef, f_coef, w0, w0)
     return abs(sol.c0) + abs(sol.c1)
 

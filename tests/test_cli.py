@@ -226,6 +226,38 @@ class TestCliCommands:
         assert proc.stderr.startswith("error: metric:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            '{"method": "parallel", "omega": 1.0, "tau": 0}',
+            '{"method": "basic", "omega": 1.0, "iterations": 0}',
+            '{"method": "basic", "policy": "bogus"}',
+            '{"method": "basic", "omega": "fast"}',
+            '{"method": "basic", "omega": 1e400}',
+            '{"method": "accelerated", "omega": 0.5, "mu": -0.5}',
+        ],
+    )
+    def test_invalid_solver_specs_exit_two(self, tmp_path, capsys, solver):
+        # the bad spec follows a valid one: every spec is resolved before the first trace is written
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg["solvers"] = [{"method": "basic", "omega": 1.0}, "SOLVER"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"SOLVER"', solver))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "run", str(path), "--output-dir", str(out)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: solvers[1]")
+        assert "Traceback" not in proc.stderr
+        assert not list(out.glob("trace_*.csv"))
+        # validate reads the solver specs for its options, so it rejects them too
+        assert main(["validate", str(path), "--output-dir", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err.startswith("error: solvers[1]")
+
     def test_inconsistent_system_exits_two(self, tmp_path, capsys):
         mtx = tmp_path / "a.mtx"
         mtx.write_text(

@@ -109,11 +109,43 @@ class TestGeneralStep:
                 sketch = dist.sample(rng)
                 assert sketch.cols is not None
                 omega = float(rng.uniform(0.2, 1.9))
-                x_next, loss = ws.general_step(x, sketch, omega)
+                x_next, loss = ws.general_step(x[None], [[sketch]], omega)
                 dense_next, dense_loss = self.dense_step(problem, x, sketch, omega)
                 scale = max(np.linalg.norm(x), np.linalg.norm(dense_next))
                 assert np.linalg.norm(x_next - dense_next) <= 1e-12 * scale
                 assert abs(loss - dense_loss) <= 1e-12 * max(abs(dense_loss), 1e-300)
+
+    def test_stacked_rows_and_groups_match_dense_steps(self):
+        # R = 2 rows, each averaging a group of tau = 2 sketches, against one dense step per sketch
+        rng = stream(57, 0)
+        for _ in range(20):
+            problem = random_problem(rng)
+            ws = Workspace(problem)
+            x = rng.standard_normal((2, problem.n))
+            m = problem.m
+            q = min(3, m)
+            for dist in (CountSketch(m, 3), CountSketch(m, 1), Block(m, q), Gaussian(m, 2)):
+                groups = [[dist.sample(rng) for _ in range(2)] for _ in range(2)]
+                omega = float(rng.uniform(0.2, 1.9))
+                x_next, loss = ws.general_step(x, groups, omega)
+                assert x_next.shape == x.shape and loss.shape == (2,)
+                for r, group in enumerate(groups):
+                    steps = [self.dense_step(problem, x[r], sketch, omega) for sketch in group]
+                    dense_next, dense_loss = (steps[0][0] + steps[1][0]) / 2, steps[0][1]
+                    scale = max(np.linalg.norm(x[r]), np.linalg.norm(dense_next))
+                    assert np.linalg.norm(x_next[r] - dense_next) <= 1e-12 * scale
+                    assert abs(loss[r] - dense_loss) <= 1e-12 * max(abs(dense_loss), 1e-300)
+
+    def test_mixed_groups_rejected(self):
+        problem = random_problem(stream(58, 0))
+        ws = Workspace(problem)
+        x = np.zeros((1, problem.n))
+        index = SketchSample(cols=(0, 1), m=problem.m)
+        for other in (SketchSample(cols=(0,), m=problem.m), SketchSample(index.matrix.copy())):
+            with pytest.raises(ValueError):
+                ws.general_step(x, [[index, other]], 1.0)
+        with pytest.raises(ValueError):  # groups of different sizes
+            ws.general_step(np.zeros((2, problem.n)), [[index], [index, index]], 1.0)
 
 
 class TestRunBasic:
