@@ -153,6 +153,15 @@ def _run_solver(spec, index, base, problem, dist, reform, cfg):
     return label, text, summary
 
 
+def _checks(cfg: ExperimentConfig, default: list[str]) -> list[str]:
+    """The configured check names, ``default`` when unset; an unknown name raises ConfigError."""
+    checks = default if cfg.checks is None else cfg.checks
+    unknown = [name for name in checks if name not in LIBRARY_CHECKS and name not in PROBLEM_CHECKS]
+    if unknown:
+        raise ConfigError("checks", f"unknown check {unknown[0]!r}")
+    return checks
+
+
 def _validation_options(cfg: ExperimentConfig) -> ValidationOptions:
     specs = cfg.solvers
     omega = next((float(s["omega"]) for s in specs if s["method"] == "basic" and "omega" in s), 1.0)
@@ -196,6 +205,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
+    checks = _checks(cfg, DEFAULT_RUN_CHECKS)
     problem, dist, reform = _setup(cfg, out_dir)
     configs = _solver_configs(cfg, reform)
     solver_summaries, rate_rows = [], []
@@ -211,15 +221,14 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
             rate_rows.append((label, "l2_rate", predicted, summary["fitted_l2_rate"], summary["fit_residual"]))
     _write_csv(out_dir / "rates.csv", ["label", "quantity", "predicted", "fitted", "residual"], rate_rows)
 
-    checks = cfg.checks if cfg.checks is not None else DEFAULT_RUN_CHECKS
     results = run_validation(problem, reform, _validation_options(cfg), checks)
     return _write_summary(out_dir, "run", cfg, results, solvers=solver_summaries)
 
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
+    checks = _checks(cfg, [*LIBRARY_CHECKS, *PROBLEM_CHECKS])
     problem, _, reform = _setup(cfg, out_dir)
     _solver_configs(cfg, reform)  # the validation options read the solver specs
-    checks = cfg.checks if cfg.checks is not None else [*LIBRARY_CHECKS, *PROBLEM_CHECKS]
     results = run_validation(problem, reform, _validation_options(cfg), checks)
     _write_csv(
         out_dir / "checks.csv",

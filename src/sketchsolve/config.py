@@ -8,7 +8,7 @@ seed is mandatory; nothing ever falls back to wall-clock entropy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import Problem, SpdMatrix
 from .mmio import ParseError, load_matrix_market, load_vector
@@ -80,7 +80,6 @@ class ExperimentConfig:
     support_cap: int = 100_000
     checks: list[str] | None = None
     output_dir: str | None = None
-    raw: dict = field(default_factory=dict)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -146,7 +145,6 @@ def load_config(path) -> ExperimentConfig:
         support_cap=int(_get(raw, "support_cap", "<root>", int, required=False, default=100_000)),
         checks=checks,
         output_dir=_get(raw, "output_dir", "<root>", str, required=False),
-        raw=raw,
     )
 
 

@@ -490,11 +490,14 @@ def acceleration_parameters(spectrum: Spectrum, omega: float, safety: float = 0.
     """Theory-backed (gamma, mu) for the accelerated method.
 
     mu = safety * omega * lambda_min_plus keeps mu strictly inside the
-    admissible interval (0, omega * lambda_min_plus).
+    admissible interval (0, omega * lambda_min_plus); a stepsize that
+    makes it non-positive, where sqrt(mu) is undefined, is rejected.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError("safety must lie in (0, 1)")
     mu = safety * float(omega) * spectrum.lambda_min_plus
+    if not mu > 0.0:
+        raise ValueError(f"auto mu = {float(mu):.6g} is not positive at omega = {float(omega):.6g}")
     gamma = 2.0 / (1.0 + np.sqrt(mu))
     return gamma, mu
 

@@ -3,16 +3,18 @@
 Every check audits one identity, bound, or rate statement and reports a
 :class:`CheckResult` carrying a stable anchor string, a verdict, and
 the worst margin observed (positive margins mean slack, negative mean
-violation). Library-level checks draw their own random instances from
-the master seed, in a fixed order; the oracle checks then evaluate all
-instances of one shape as one stack. Problem-level checks run Monte
-Carlo experiments on the configured problem and distribution, and
-checks of one :func:`run_validation` call that need the same
-experiment share one run of it.
+violation). A check names its anchor once, where it is registered in
+``LIBRARY_CHECKS`` or ``PROBLEM_CHECKS``. Library-level checks draw
+their own random instances from the master seed, in a fixed order; the
+oracle checks then evaluate all instances of one shape as one stack.
+Problem-level checks run Monte Carlo experiments on the configured
+problem and distribution, and checks of one :func:`run_validation` call
+that need the same experiment share one run of it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +93,46 @@ class ValidationOptions:
     tau: int = 2
 
 
+# anchor -> check, in registration order: a library check takes the
+# options, a problem check (problem, reform, options, experiments)
+LIBRARY_CHECKS = {}
+PROBLEM_CHECKS = {}
+
+_MC_SKIP_REASON = "needs an exactly known expected operator; estimation is Monte Carlo"
+
+
+def _check(registry: dict, anchor: str, exact_only: bool = False):
+    """Register a check under its anchor.
+
+    The decorated function returns ``(passed, margin, details)``; what is
+    registered, and bound to its name, returns the :class:`CheckResult`.
+    An ``exact_only`` problem check is skipped, as passed with margin 0,
+    when E[Z] is a Monte Carlo estimate.
+    """
+
+    def register(check):
+        @functools.wraps(check)
+        def run(*args):
+            if exact_only and args[1].estimation.kind != "exact":  # args[1] is the reformulation
+                return CheckResult(anchor, True, 0.0, {"skipped": _MC_SKIP_REASON})
+            return CheckResult(anchor, *check(*args))
+
+        registry[anchor] = run
+        return run
+
+    return register
+
+
+def _within(worst: float, tol: float, **details):
+    """Verdict of a worst residual: passed at ``worst <= tol``, margin ``tol - worst``."""
+    return worst <= tol, tol - worst, details
+
+
+def _gap(worst: float, slack: float = 0.0, **details):
+    """Verdict of a worst gap (or failure count): passed at ``worst <= slack``, margin ``-worst``."""
+    return worst <= slack, -worst, details
+
+
 def _random_instance(rng, m=None, n=None, q=None, metric_spread=2.0):
     """Random (problem, sketch sample) pair of small dimensions."""
     m = int(m if m is not None else rng.integers(2, 7))
@@ -110,7 +152,8 @@ def _random_instance(rng, m=None, n=None, q=None, metric_spread=2.0):
 # ---------------------------------------------------------------------------
 
 
-def check_sketch_identities(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "lemma:sketch-identities")
+def check_sketch_identities(options: ValidationOptions):
     """Gradient, Hessian-fixed-point, projection and value identities.
 
     For random (A, b, B, S, x): the sketch gradient equals the sketch
@@ -142,19 +185,15 @@ def check_sketch_identities(options: ValidationOptions) -> CheckResult:
         half_grad_sq = 0.5 * problem.metric.norm_sq(grad)
         worst = max(worst, abs(value - half_grad_sq) / max(1.0, value))
         worst = max(worst, stochastic_value(sys, x - grad) / max(1.0, value))
-    return CheckResult(
-        anchor="lemma:sketch-identities",
-        passed=worst <= tol,
-        margin=tol - worst,
-        details={"instances": options.instances, "worst_residual": worst},
-    )
+    return _within(worst, tol, instances=options.instances, worst_residual=worst)
 
 
 def _sample_of(matrix):
     return SketchSample(np.array(matrix))
 
 
-def check_kaczmarz_expected_operator(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "identity:kaczmarz-expected-operator")
+def check_kaczmarz_expected_operator(options: ValidationOptions):
     """Row sampling by squared norms averages Z to A'A normalized by ||A||_F^2."""
     rng = stream(options.seed, VALIDATION_STREAM, 2)
     tol = 1e-12
@@ -168,15 +207,11 @@ def check_kaczmarz_expected_operator(options: ValidationOptions) -> CheckResult:
         target = a.T @ a / float(np.sum(a * a))
         scale = max(1.0, float(np.abs(target).max()))
         worst = max(worst, float(np.abs(reform.expected_Z - target).max()) / scale)
-    return CheckResult(
-        anchor="identity:kaczmarz-expected-operator",
-        passed=worst <= tol,
-        margin=tol - worst,
-        details={"instances": trials, "worst_residual": worst},
-    )
+    return _within(worst, tol, instances=trials, worst_residual=worst)
 
 
-def check_prox_equivalence(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "theorem:proximal-equivalence")
+def check_prox_equivalence(options: ValidationOptions):
     """The sketched step solves the sketch-regularized proximal problem."""
     rng = stream(options.seed, VALIDATION_STREAM, 3)
     tol = 1e-8
@@ -191,12 +226,7 @@ def check_prox_equivalence(options: ValidationOptions) -> CheckResult:
             prox = prox_step(problem, x, sample, omega)
             scale = max(1.0, float(np.linalg.norm(direct)))
             worst = max(worst, float(np.linalg.norm(direct - prox)) / scale)
-    return CheckResult(
-        anchor="theorem:proximal-equivalence",
-        passed=worst <= tol,
-        margin=tol - worst,
-        details={"instances": trials, "worst_residual": worst},
-    )
+    return _within(worst, tol, instances=trials, worst_residual=worst)
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -204,7 +234,8 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(-2, -1))
 
 
-def check_woodbury(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "lemma:woodbury-identity")
+def check_woodbury(options: ValidationOptions):
     """Low-rank update inverse identity against direct inversion (relative)."""
     rng = stream(options.seed, VALIDATION_STREAM, 4)
     tol = 1e-9
@@ -213,15 +244,11 @@ def check_woodbury(options: ValidationOptions) -> CheckResult:
         direct = np.linalg.inv(inst.M + inst.C @ inst.N @ inst.D)
         gap = _max_abs(smw_inverse(inst) - direct)
         worst = max(worst, float((gap / np.maximum(1.0, _max_abs(direct))).max()))
-    return CheckResult(
-        anchor="lemma:woodbury-identity",
-        passed=worst <= tol,
-        margin=tol - worst,
-        details={"instances": options.oracle_instances, "worst_residual": worst},
-    )
+    return _within(worst, tol, instances=options.oracle_instances, worst_residual=worst)
 
 
-def check_psd_sandwich(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "lemma:psd-sandwich-identity")
+def check_psd_sandwich(options: ValidationOptions):
     """Pseudoinverse sandwich identity on rank-deficient PSD matrices.
 
     Instances are well-scaled by construction: Q diag(lambda) Q' with Q
@@ -245,15 +272,11 @@ def check_psd_sandwich(options: ValidationOptions) -> CheckResult:
         q, _ = np.linalg.qr(gauss)
         mats = (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)
         worst = max(worst, float(psd_sandwich_residual(mats, mu).max()))
-    return CheckResult(
-        anchor="lemma:psd-sandwich-identity",
-        passed=worst <= tol,
-        margin=tol - worst,
-        details={"instances": options.oracle_instances, "worst_residual": worst},
-    )
+    return _within(worst, tol, instances=options.oracle_instances, worst_residual=worst)
 
 
-def check_range_eigen_bound(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "lemma:range-restricted-eigenvalue")
+def check_range_eigen_bound(options: ValidationOptions):
     """Smallest-nonzero-eigenvalue bound on the compressed range.
 
     Each instance is a random m-by-n A with B = I under row-norm
@@ -279,15 +302,11 @@ def check_range_eigen_bound(options: ValidationOptions) -> CheckResult:
         ez = _symmetrize(_weighted_z_sum(rows, _gram_pinvs(rows, metric), _row_norm_probabilities(a)))
         x = (w[:, None, :] @ a @ metric.inv_sqrt)[:, 0]  # (B^{-1/2} A' w)' = w' A B^{-1/2}
         failures += int(np.count_nonzero(~range_restricted_eigen_bound(ez, metric, x)))
-    return CheckResult(
-        anchor="lemma:range-restricted-eigenvalue",
-        passed=failures == 0,
-        margin=-float(failures),
-        details={"instances": trials, "failures": failures},
-    )
+    return _gap(float(failures), instances=trials, failures=failures)
 
 
-def check_recurrence_closed_form(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "lemma:two-term-recurrence-closed-form")
+def check_recurrence_closed_form(options: ValidationOptions):
     """Closed trigonometric recurrence solution against direct iteration."""
     rng = stream(options.seed, VALIDATION_STREAM, 7)
     tol = 1e-9
@@ -301,15 +320,11 @@ def check_recurrence_closed_form(options: ValidationOptions) -> CheckResult:
         direct = iterate_recurrence(e_coef, f_coef, xi0, xi1, k)
         closed = solve_recurrence(e_coef, f_coef, xi0, xi1, k)
         worst = max(worst, abs(direct - closed) / max(1.0, abs(direct)))
-    return CheckResult(
-        anchor="lemma:two-term-recurrence-closed-form",
-        passed=worst <= tol,
-        margin=tol - worst,
-        details={"instances": options.oracle_instances, "worst_residual": worst},
-    )
+    return _within(worst, tol, instances=options.oracle_instances, worst_residual=worst)
 
 
-def check_quadratic_bounds(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "lemma:quadratic-bounds")
+def check_quadratic_bounds(options: ValidationOptions):
     """Gradient-value sandwich and the two norm bounds on f."""
     rng = stream(options.seed, VALIDATION_STREAM, 8)
     tol = 1e-9
@@ -343,15 +358,11 @@ def check_quadratic_bounds(options: ValidationOptions) -> CheckResult:
                 worst = max(
                     worst, (0.5 * lmin * metric.norm_sq(x - proj) - f_val) / scale
                 )
-    return CheckResult(
-        anchor="lemma:quadratic-bounds",
-        passed=worst <= tol,
-        margin=tol - worst,
-        details={"instances": trials, "worst_violation": worst},
-    )
+    return _within(worst, tol, instances=trials, worst_violation=worst)
 
 
-def check_equivalent_solution_sets(options: ValidationOptions) -> CheckResult:
+@_check(LIBRARY_CHECKS, "theorem:equivalent-solution-sets")
+def check_equivalent_solution_sets(options: ValidationOptions):
     """For finite supports, grad f vanishes iff every atom's loss vanishes."""
     rng = stream(options.seed, VALIDATION_STREAM, 9)
     trials = max(20, options.instances // 6)
@@ -374,12 +385,7 @@ def check_equivalent_solution_sets(options: ValidationOptions) -> CheckResult:
                 failures += 1
             if expected_zero is True and not grad_zero:
                 failures += 1
-    return CheckResult(
-        anchor="theorem:equivalent-solution-sets",
-        passed=failures == 0,
-        margin=-float(failures),
-        details={"instances": trials, "failures": failures},
-    )
+    return _gap(float(failures), instances=trials, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,10 @@ def check_equivalent_solution_sets(options: ValidationOptions) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_spectrum_range(reform: Reformulation, options: ValidationOptions) -> CheckResult:
+@_check(PROBLEM_CHECKS, "lemma:spectrum-in-unit-interval")
+def check_spectrum_range(
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
+):
     """Eigenvalues lie in [0, 1]; single-column exact supports sum to 1."""
     lam = reform.spectrum.lambdas_raw
     worst = max(float(lam[0] - 1.0), float(-lam[-1]))
@@ -400,15 +409,13 @@ def check_spectrum_range(reform: Reformulation, options: ValidationOptions) -> C
         details["trace_gap"] = trace_gap
         passed = passed and trace_gap <= 1e-9
         worst = max(worst, trace_gap - 1e-9 + tol)
-    return CheckResult(
-        anchor="lemma:spectrum-in-unit-interval",
-        passed=passed,
-        margin=tol - worst,
-        details=details,
-    )
+    return passed, tol - worst, details
 
 
-def check_exactness_verdict(reform: Reformulation, options: ValidationOptions) -> CheckResult:
+@_check(PROBLEM_CHECKS, "theorem:exactness-characterization")
+def check_exactness_verdict(
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
+):
     """Exactness verdict, cross-checked against the sufficient condition.
 
     When E[H] is available and positive definite, the verdict must be
@@ -417,12 +424,7 @@ def check_exactness_verdict(reform: Reformulation, options: ValidationOptions) -
     verdict = reform.exactness()
     details = {"verdict": verdict, "estimation": reform.estimation.kind}
     if reform.estimation.kind != "exact":
-        return CheckResult(
-            anchor="theorem:exactness-characterization",
-            passed=verdict == "undecidable",
-            margin=0.0,
-            details=details,
-        )
+        return verdict == "undecidable", 0.0, details
     eh = reform.expected_H()
     passed = verdict in ("exact", "not-exact")
     if eh is not None:
@@ -430,17 +432,13 @@ def check_exactness_verdict(reform: Reformulation, options: ValidationOptions) -
         details["expected_H_min_eigenvalue"] = eig_min
         if eig_min > 1e-12:
             passed = passed and verdict == "exact"
-    return CheckResult(
-        anchor="theorem:exactness-characterization",
-        passed=passed,
-        margin=0.0,
-        details=details,
-    )
+    return passed, 0.0, details
 
 
+@_check(PROBLEM_CHECKS, "lemma:pathwise-step-identities")
 def check_pathwise_identities(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """Per-step energy identities of the basic method at several stepsizes."""
     tol = 1e-9
     worst = 0.0
@@ -451,12 +449,7 @@ def check_pathwise_identities(
         trace = run_basic(problem, reform.dist, cfg, x0=x0)
         dec, step = pathwise_residuals(trace)
         worst = max(worst, dec, step)
-    return CheckResult(
-        anchor="lemma:pathwise-step-identities",
-        passed=worst <= tol,
-        margin=tol - worst,
-        details={"worst_residual": worst},
-    )
+    return _within(worst, tol, worst_residual=worst)
 
 
 def _lambda_uncertainty(reform: Reformulation) -> float:
@@ -472,19 +465,12 @@ def _lambda_uncertainty(reform: Reformulation) -> float:
     return 3.0 * (reform.estimation.se_norm or 0.0) / b_min
 
 
-def _skipped(anchor: str, reason: str) -> CheckResult:
-    return CheckResult(anchor=anchor, passed=True, margin=0.0, details={"skipped": reason})
-
-
-_MC_SKIP_REASON = "needs an exactly known expected operator; estimation is Monte Carlo"
-
-
+@_check(PROBLEM_CHECKS, "theorem:expected-iterate-recursion")
 def check_expected_iterates(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """Transformed mean errors follow (1 - w lambda_i)^k componentwise (4 SE)."""
-    cfg = SolverConfig(omega=options.omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = experiments(cfg)
+    moments = experiments()
     lam = reform.spectrum.lambdas_raw
     k = np.arange(options.iterations + 1)[:, None]
     predicted = (1.0 - options.omega * lam[None, :]) ** k * moments.initial_transformed[None, :]
@@ -509,46 +495,32 @@ def check_expected_iterates(
         - 1e-12
     )
     worst = float(gap.max())
-    return CheckResult(
-        anchor="theorem:expected-iterate-recursion",
-        passed=worst <= 0.0,
-        margin=-worst,
-        details={"replications": options.replications, "worst_gap": worst},
-    )
+    return _gap(worst, replications=options.replications, worst_gap=worst)
 
 
+@_check(PROBLEM_CHECKS, "lemma:null-component-anchoring")
 def check_null_component_anchoring(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """Zero-eigenvalue components stay at zero when anchored at proj(x_0)."""
     lam = reform.spectrum.lambdas_raw
     null_idx = np.where(lam <= reform.spectrum.rank_threshold)[0]
     if null_idx.size == 0:
-        return CheckResult(
-            anchor="lemma:null-component-anchoring",
-            passed=True,
-            margin=0.0,
-            details={"note": "spectrum has no zero eigenvalues"},
-        )
-    cfg = SolverConfig(omega=options.omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = experiments(cfg)
+        return True, 0.0, {"note": "spectrum has no zero eigenvalues"}
+    moments = experiments()
     gap = (
         np.abs(moments.transformed_mean[:, null_idx])
         - 4.0 * moments.transformed_se[:, null_idx]
         - 1e-12
     )
     worst = float(gap.max())
-    return CheckResult(
-        anchor="lemma:null-component-anchoring",
-        passed=worst <= 0.0,
-        margin=-worst,
-        details={"null_components": int(null_idx.size), "worst_gap": worst},
-    )
+    return _gap(worst, null_components=int(null_idx.size), worst_gap=worst)
 
 
+@_check(PROBLEM_CHECKS, "theorem:l2-two-sided-band")
 def check_l2_band(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """E||x_k - x*||_B^2 sits inside the two-sided geometric band (3 SE).
 
     For Monte Carlo estimated spectra the band is widened by the
@@ -560,8 +532,7 @@ def check_l2_band(
     lmax = min(reform.spectrum.lambda_max + delta, 1.0)
     worst = -np.inf
     for omega in (0.5, options.omega, 1.5):
-        cfg = SolverConfig(omega=omega, max_iters=options.iterations, master_seed=options.seed)
-        moments = experiments(cfg)
+        moments = experiments(omega=omega)
         k = np.arange(options.iterations + 1)
         r0 = moments.l2_error[0]
         upper = (1.0 - omega * (2.0 - omega) * lmin) ** k * r0
@@ -571,23 +542,16 @@ def check_l2_band(
             float(np.max(moments.l2_error - upper - 3.0 * moments.l2_se)),
             float(np.max(lower - moments.l2_error - 3.0 * moments.l2_se)),
         )
-    return CheckResult(
-        anchor="theorem:l2-two-sided-band",
-        passed=worst <= 1e-12,
-        margin=-worst,
-        details={"replications": options.replications, "worst_gap": worst},
-    )
+    return _gap(worst, 1e-12, replications=options.replications, worst_gap=worst)
 
 
+@_check(PROBLEM_CHECKS, "theorem:cesaro-average-bounds", exact_only=True)
 def check_cesaro_bounds(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """O(1/k) bounds for the running-average iterate (norm and value)."""
-    if reform.estimation.kind != "exact":
-        return _skipped("theorem:cesaro-average-bounds", _MC_SKIP_REASON)
     omega = options.omega
-    cfg = SolverConfig(omega=omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = experiments(cfg)
+    moments = experiments()
     lmin = reform.spectrum.lambda_min_plus
     r0 = moments.l2_error[0]
     k = np.arange(1, options.iterations + 1)
@@ -600,27 +564,20 @@ def check_cesaro_bounds(
         worst,
         float(np.max(moments.cesaro_f[1:] - bound_value - 3.0 * moments.cesaro_f_se[1:])),
     )
-    return CheckResult(
-        anchor="theorem:cesaro-average-bounds",
-        passed=worst <= 1e-12,
-        margin=-worst,
-        details={"replications": options.replications, "worst_gap": worst},
-    )
+    return _gap(worst, 1e-12, replications=options.replications, worst_gap=worst)
 
 
+@_check(PROBLEM_CHECKS, "theorem:value-decay", exact_only=True)
 def check_value_decay(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """Both geometric bounds on E f(x_k), each in its own stepsize regime."""
-    if reform.estimation.kind != "exact":
-        return _skipped("theorem:value-decay", _MC_SKIP_REASON)
     worst = -np.inf
     details = {}
     spectrum = reform.spectrum
     omega_general = min(options.omega, 1.9 / spectrum.zeta)
     for tag, omega in (("general", omega_general), ("exactness", options.omega)):
-        cfg = SolverConfig(omega=omega, max_iters=options.iterations, master_seed=options.seed)
-        moments = experiments(cfg)
+        moments = experiments(omega=omega)
         rates = theoretical_rates(spectrum, omega)
         k = np.arange(options.iterations + 1)
         if tag == "general":
@@ -635,31 +592,24 @@ def check_value_decay(
         gap = float(np.max(moments.f_mean - bound - 3.0 * moments.f_se))
         details[f"worst_gap_{tag}"] = gap
         worst = max(worst, gap)
-    return CheckResult(
-        anchor="theorem:value-decay",
-        passed=worst <= 1e-12,
-        margin=-worst,
-        details=details,
-    )
+    return _gap(worst, 1e-12, **details)
 
 
+@_check(PROBLEM_CHECKS, "corollary:convergence-window")
 def check_convergence_window(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """Stepsizes beyond 2/lambda_max leave the mean error non-decaying."""
     omega = 1.3 * 2.0 / reform.spectrum.lambda_max
-    cfg = SolverConfig(omega=omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = experiments(cfg, replications=max(options.replications // 2, 2))
+    moments = experiments(omega=omega, replications=max(options.replications // 2, 2))
     fitted = fit_rate(np.sqrt(np.maximum(moments.mean_error_norm_sq, 1e-300)))
-    return CheckResult(
-        anchor="corollary:convergence-window",
-        passed=fitted.rate >= 1.0,
-        margin=fitted.rate - 1.0,
-        details={"omega": omega, "fitted_rate": fitted.rate},
-    )
+    return fitted.rate >= 1.0, fitted.rate - 1.0, {"omega": omega, "fitted_rate": fitted.rate}
 
 
-def check_optimal_relaxation(reform: Reformulation, options: ValidationOptions) -> CheckResult:
+@_check(PROBLEM_CHECKS, "theorem:optimal-relaxation-argmin")
+def check_optimal_relaxation(
+    problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
+):
     """The contraction factor is minimized at 2/(lambda_min_plus + lambda_max)."""
     spectrum = reform.spectrum
     omega_star = 2.0 / (spectrum.lambda_min_plus + spectrum.lambda_max)
@@ -670,43 +620,30 @@ def check_optimal_relaxation(reform: Reformulation, options: ValidationOptions) 
     gap = abs(best - omega_star)
     rho_star = rho_basic(spectrum, omega_star)
     all_above = bool(np.all(values >= rho_star - 1e-12))
-    return CheckResult(
-        anchor="theorem:optimal-relaxation-argmin",
-        passed=gap <= spacing and all_above,
-        margin=spacing - gap,
-        details={"omega_star": omega_star, "grid_argmin": best},
-    )
+    return gap <= spacing and all_above, spacing - gap, {"omega_star": omega_star, "grid_argmin": best}
 
 
+@_check(PROBLEM_CHECKS, "theorem:parallel-rate-bound", exact_only=True)
 def check_parallel_rate_bound(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """Per-step L2 contraction of the parallel method obeys its factor."""
-    if reform.estimation.kind != "exact":
-        return _skipped("theorem:parallel-rate-bound", _MC_SKIP_REASON)
     tau = options.tau
     xi = xi_factor(reform.spectrum, tau)
     omega = 1.0 / xi
-    cfg = SolverConfig(
-        omega=omega, tau=tau, max_iters=options.iterations, master_seed=options.seed
-    )
-    moments = experiments(cfg, "parallel")
+    moments = experiments("parallel", omega=omega, tau=tau)
     rho = 1.0 - omega * (2.0 - omega * xi) * reform.spectrum.lambda_min_plus
     l2 = moments.l2_error
     se = moments.l2_se
     gaps = l2[1:] - rho * l2[:-1] - 3.0 * (se[1:] + rho * se[:-1]) - 1e-12
     worst = float(gaps.max())
-    return CheckResult(
-        anchor="theorem:parallel-rate-bound",
-        passed=worst <= 0.0,
-        margin=-worst,
-        details={"tau": tau, "omega": omega, "rho": rho, "worst_gap": worst},
-    )
+    return _gap(worst, tau=tau, omega=omega, rho=rho, worst_gap=worst)
 
 
+@_check(PROBLEM_CHECKS, "theorem:accelerated-mean-decay", exact_only=True)
 def check_accelerated_mean(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """Accelerated mean errors track the two-term recursion and its envelope.
 
     Three parts: (a) the Monte Carlo mean error norm matches the exact
@@ -716,17 +653,12 @@ def check_accelerated_mean(
     transformed mean component stays under its closed-form envelope
     2 (1-sqrt(mu))^k (|C0| + |C1|).
     """
-    if reform.estimation.kind != "exact":
-        return _skipped("theorem:accelerated-mean-decay", _MC_SKIP_REASON)
     spectrum = reform.spectrum
     omega = 1.0 / spectrum.lambda_max
     gamma, mu = acceleration_parameters(spectrum, omega)
     iters = max(options.iterations, 12)
-    cfg = SolverConfig(
-        omega=omega, gamma=gamma, mu=mu, max_iters=iters, master_seed=options.seed
-    )
     x0 = _validation_start(problem, options)
-    moments = experiments(cfg, "accelerated")
+    moments = experiments("accelerated", omega=omega, gamma=gamma, mu=mu, iterations=iters)
     exact = expected_mean_error(reform, omega, iters, x0=x0, method="accelerated", gamma=gamma)
     mc_norm = np.sqrt(np.maximum(moments.mean_error_norm_sq, 0.0))
     noise = np.sqrt(np.maximum(moments.l2_error, 0.0)) / np.sqrt(moments.replications)
@@ -735,36 +667,34 @@ def check_accelerated_mean(
     factor = 1.0 - np.sqrt(mu)
     anchor_x = problem.project(x0)
     w0 = spectrum.U.T @ problem.metric.sqrt @ (x0 - anchor_x)
-    worst_root = -np.inf
+    lam = spectrum.lambdas_raw
+    e_coef = gamma * (1.0 - omega * lam)
+    f_coef = (1.0 - gamma) * (1.0 - omega * lam)
+    # positive eigenvalues only; a component with E = F = 0 is annihilated after two steps
+    live = (lam > spectrum.rank_threshold) & ~((e_coef == 0.0) & (f_coef == 0.0))
+    e_coef, f_coef, w0 = e_coef[live], f_coef[live], w0[live]
+    worst_root = max(
+        np.max(e_coef * e_coef + 4.0 * f_coef, initial=-np.inf),  # must be negative (complex roots)
+        np.max(np.sqrt(np.maximum(-f_coef, 0.0)) - factor * (1.0 + 1e-12), initial=-np.inf),
+    )
+    bound = np.array([2.0 * _recurrence_constants(*coefs) for coefs in zip(e_coef, f_coef, w0)])
+    # the recurrence started at (w0, w0), one step for every component at once
+    prev = value = w0
     worst_envelope = -np.inf
-    for lam_i, w0_i in zip(spectrum.lambdas_raw, w0):
-        if lam_i <= spectrum.rank_threshold:
-            continue
-        e_coef = gamma * (1.0 - omega * lam_i)
-        f_coef = (1.0 - gamma) * (1.0 - omega * lam_i)
-        if e_coef == 0.0 and f_coef == 0.0:
-            continue  # component is annihilated after two steps
-        disc = e_coef * e_coef + 4.0 * f_coef
-        worst_root = max(worst_root, disc)  # must be negative (complex roots)
-        modulus = np.sqrt(max(-f_coef, 0.0))
-        worst_root = max(worst_root, modulus - factor * (1.0 + 1e-12))
-        bound = 2.0 * abs(_recurrence_constants(e_coef, f_coef, w0_i))
-        for k in range(iters + 1):
-            value = abs(iterate_recurrence(e_coef, f_coef, w0_i, w0_i, k))
-            worst_envelope = max(worst_envelope, value - bound * factor**k * (1.0 + 1e-9))
+    for k in range(iters + 1):
+        if k >= 2:
+            prev, value = value, e_coef * value + f_coef * prev
+        gaps = np.abs(value) - bound * factor**k * (1.0 + 1e-9)
+        worst_envelope = max(worst_envelope, np.max(gaps, initial=-np.inf))
     worst = max(worst_track, worst_root, worst_envelope)
-    return CheckResult(
-        anchor="theorem:accelerated-mean-decay",
-        passed=worst <= 0.0,
-        margin=-worst,
-        details={
-            "omega": omega,
-            "gamma": gamma,
-            "mu": mu,
-            "tracking_gap": worst_track,
-            "root_gap": worst_root,
-            "envelope_gap": worst_envelope,
-        },
+    return _gap(
+        worst,
+        omega=omega,
+        gamma=gamma,
+        mu=mu,
+        tracking_gap=worst_track,
+        root_gap=worst_root,
+        envelope_gap=worst_envelope,
     )
 
 
@@ -774,19 +704,13 @@ def _recurrence_constants(e_coef: float, f_coef: float, w0: float) -> float:
     return abs(sol.c0) + abs(sol.c1)
 
 
+@_check(PROBLEM_CHECKS, "identity:mean-vs-mean-square")
 def check_jensen(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
-) -> CheckResult:
+):
     """||E e_k||_B^2 never exceeds E||e_k||_B^2 beyond sampling noise."""
-    cfg = SolverConfig(omega=options.omega, max_iters=options.iterations, master_seed=options.seed)
-    moments = experiments(cfg)
-    gap = moments.jensen_gap()
-    return CheckResult(
-        anchor="identity:mean-vs-mean-square",
-        passed=gap <= 1e-12,
-        margin=-gap,
-        details={"worst_gap": gap},
-    )
+    gap = experiments().jensen_gap()
+    return _gap(gap, 1e-12, worst_gap=gap)
 
 
 def _validation_start(problem: Problem, options: ValidationOptions) -> np.ndarray:
@@ -794,51 +718,39 @@ def _validation_start(problem: Problem, options: ValidationOptions) -> np.ndarra
     return problem.min_norm_solution + rng.standard_normal(problem.n)
 
 
-LIBRARY_CHECKS = {
-    "lemma:sketch-identities": check_sketch_identities,
-    "identity:kaczmarz-expected-operator": check_kaczmarz_expected_operator,
-    "theorem:proximal-equivalence": check_prox_equivalence,
-    "lemma:woodbury-identity": check_woodbury,
-    "lemma:psd-sandwich-identity": check_psd_sandwich,
-    "lemma:range-restricted-eigenvalue": check_range_eigen_bound,
-    "lemma:two-term-recurrence-closed-form": check_recurrence_closed_form,
-    "lemma:quadratic-bounds": check_quadratic_bounds,
-    "theorem:equivalent-solution-sets": check_equivalent_solution_sets,
-}
-
-PROBLEM_CHECKS = {
-    "lemma:spectrum-in-unit-interval": lambda p, r, o, e: check_spectrum_range(r, o),
-    "theorem:exactness-characterization": lambda p, r, o, e: check_exactness_verdict(r, o),
-    "lemma:pathwise-step-identities": check_pathwise_identities,
-    "theorem:expected-iterate-recursion": check_expected_iterates,
-    "lemma:null-component-anchoring": check_null_component_anchoring,
-    "theorem:l2-two-sided-band": check_l2_band,
-    "theorem:cesaro-average-bounds": check_cesaro_bounds,
-    "theorem:value-decay": check_value_decay,
-    "corollary:convergence-window": check_convergence_window,
-    "theorem:optimal-relaxation-argmin": lambda p, r, o, e: check_optimal_relaxation(r, o),
-    "theorem:parallel-rate-bound": check_parallel_rate_bound,
-    "theorem:accelerated-mean-decay": check_accelerated_mean,
-    "identity:mean-vs-mean-square": check_jensen,
-}
-
-
 def _experiments(problem: Problem, reform: Reformulation, options: ValidationOptions):
     """The Monte Carlo experiments of one validation pass, each run once.
 
-    Returns ``experiments(config, method="basic", replications=None)``, the
-    :func:`monte_carlo_moments` of ``config.max_iters`` iterations from
-    the validation start (``options.replications`` by default). Every
-    check of a pass starts from the same x_0 with the seed of
-    ``options``, so the method, the solver config and the replication
-    count fix an experiment: checks that ask for the same one share one
-    result, computed with ``reform`` so that it carries every moment.
-    The results are read-only.
+    Returns ``experiments(method="basic", *, omega, tau, gamma, mu,
+    iterations, replications)``, the :func:`monte_carlo_moments` of the
+    method from the validation start; ``omega``, ``iterations`` and
+    ``replications`` default to those of ``options``, and the streams
+    are keyed by its seed. Every check of a pass starts from the same
+    x_0, so these arguments fix an experiment: checks that ask for the
+    same one share one result, computed with ``reform`` so that it
+    carries every moment. The results are read-only.
     """
     x0 = _validation_start(problem, options)
     done = {}
 
-    def experiments(config: SolverConfig, method: str = "basic", replications: int | None = None):
+    def experiments(
+        method: str = "basic",
+        *,
+        omega: float | None = None,
+        tau: int = 1,
+        gamma: float | None = None,
+        mu: float | None = None,
+        iterations: int | None = None,
+        replications: int | None = None,
+    ):
+        config = SolverConfig(
+            omega=options.omega if omega is None else omega,
+            max_iters=options.iterations if iterations is None else iterations,
+            master_seed=options.seed,
+            tau=tau,
+            gamma=gamma,
+            mu=mu,
+        )
         replications = options.replications if replications is None else replications
         key = (method, config, replications)
         if key not in done:

@@ -235,6 +235,7 @@ class TestCliCommands:
             '{"method": "basic", "omega": "fast"}',
             '{"method": "basic", "omega": 1e400}',
             '{"method": "accelerated", "omega": 0.5, "mu": -0.5}',
+            '{"method": "accelerated", "omega": -0.5}',
         ],
     )
     def test_invalid_solver_specs_exit_two(self, tmp_path, capsys, solver):
@@ -257,6 +258,26 @@ class TestCliCommands:
         # validate reads the solver specs for its options, so it rejects them too
         assert main(["validate", str(path), "--output-dir", str(tmp_path / "v")]) == 2
         assert capsys.readouterr().err.startswith("error: solvers[1]")
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unknown_check_exits_two(self, tmp_path, command):
+        # check names are resolved before the setup writes anything or a check runs
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg["checks"] = ["lemma:spectrum-in-unit-interval", "theorem:flat-earth"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", command, str(path), "--output-dir", str(out)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: checks:")
+        assert "theorem:flat-earth" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(out.glob("trace_*.csv"))
 
     def test_inconsistent_system_exits_two(self, tmp_path, capsys):
         mtx = tmp_path / "a.mtx"

@@ -4,6 +4,7 @@ import pytest
 from sketchsolve import validation
 from sketchsolve.analysis import monte_carlo_moments
 from sketchsolve.linalg import Problem
+from sketchsolve.problems import gaussian_consistent
 from sketchsolve.reformulation import build_reformulation
 from sketchsolve.sketching import Coordinate, kaczmarz_distribution
 from sketchsolve.validation import (
@@ -113,6 +114,25 @@ def test_seed_7_range_eigen_instance_is_consistent():
     problem = Problem(a, a @ planted)
     assert problem.consistency_residual <= 1e-10 * (1.0 + np.linalg.norm(problem.b))
     assert np.allclose(problem.min_norm_solution, planted, atol=1e-8)
+
+
+def test_accelerated_check_pinned_at_n_20():
+    # recorded before the envelope recurrence was vectorised over the
+    # eigenvalues: a 60 x 20 Gaussian Kaczmarz problem (R = 40, K = 30),
+    # every gap and the margin bit for bit
+    a, b, *_ = gaussian_consistent(60, 20, seed=3)
+    problem = Problem(a, b)
+    reform = build_reformulation(problem, kaczmarz_distribution(a))
+    options = ValidationOptions(seed=20240801, replications=40, iterations=30)
+    [result] = run_validation(problem, reform, options, ["theorem:accelerated-mean-decay"])
+    assert result.passed
+    assert float(result.margin).hex() == "0x1.603679b80e0e8p-17"
+    gaps = {key: float(result.details[key]).hex() for key in ("tracking_gap", "root_gap", "envelope_gap")}
+    assert gaps == {
+        "tracking_gap": "-0x1.3ce74fc4ef11fp+1",
+        "root_gap": "-0x1.2a6de7eed3800p-12",
+        "envelope_gap": "-0x1.603679b80e0e8p-17",
+    }
 
 
 MC_OPTIONS = ValidationOptions(seed=99, replications=40, iterations=10, omega=1.0, tau=2)
