@@ -92,6 +92,19 @@ def _from_step_one(samples: np.ndarray):
     return mean, se
 
 
+def _quadratic_forms(errors: np.ndarray, mat: np.ndarray | None) -> np.ndarray:
+    """e' M e for every row e of an (R, K, n) stack, through one matrix product; None is M = I.
+
+    The forms of a divergent run overflow to inf or nan without
+    warnings, as its errors do.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mat is None:
+            return (errors * errors).sum(-1)
+        weighted = (errors.reshape(-1, errors.shape[-1]) @ mat).reshape(errors.shape)
+        return (weighted * errors).sum(-1)
+
+
 def monte_carlo_moments(
     problem: Problem,
     dist: SketchDistribution,
@@ -119,7 +132,9 @@ def monte_carlo_moments(
     errors = np.stack([t.iterates for t in traces]) - anchor  # (R, K+1, n)
     metric = problem.metric
 
-    l2_error, l2_se = _moments(np.einsum("rki,ij,rkj->rk", errors, metric.mat, errors))
+    # e @ I is e exactly, so B = I skips that product
+    weight = None if np.array_equal(metric.mat, np.eye(problem.n)) else metric.mat
+    l2_error, l2_se = _moments(_quadratic_forms(errors, weight))
     mean_error = errors.mean(axis=0)
     mean_error_norm_sq = np.einsum("ki,ij,kj->k", mean_error, metric.mat, mean_error)
 
@@ -130,17 +145,17 @@ def monte_carlo_moments(
         w = errors @ basis  # (R, K+1, n)
         transformed_mean, transformed_se = _moments(w)
         initial_transformed = w[0, 0].copy()
-        f_samples = 0.5 * np.einsum("rki,ij,rkj->rk", errors, reform.expected_Z, errors)
+        f_samples = 0.5 * _quadratic_forms(errors, reform.expected_Z)
         f_mean, f_se = _moments(f_samples)
 
     # Running-average iterate: hat_x_k = (1/k) sum_{t<k} x_t, for k >= 1.
     prefix = np.cumsum(errors, axis=1)
     k_idx = np.arange(1, errors.shape[1])
     cesaro_err = prefix[:, :-1, :] / k_idx[None, :, None]
-    cesaro_samples = np.einsum("rki,ij,rkj->rk", cesaro_err, metric.mat, cesaro_err)
+    cesaro_samples = _quadratic_forms(cesaro_err, weight)
     cesaro_error, cesaro_error_se = _from_step_one(cesaro_samples)
     if reform is not None:
-        cf = 0.5 * np.einsum("rki,ij,rkj->rk", cesaro_err, reform.expected_Z, cesaro_err)
+        cf = 0.5 * _quadratic_forms(cesaro_err, reform.expected_Z)
         cesaro_f, cesaro_f_se = _from_step_one(cf)
 
     return MomentEstimates(

@@ -59,7 +59,7 @@ def _as_vector(vec, length: int | None = None, name: str = "vector") -> np.ndarr
     v = np.asarray(vec, dtype=float).reshape(-1)
     if length is not None and v.size != length:
         raise ValueError(f"{name} has length {v.size}, expected {length}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
 
@@ -71,7 +71,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _svd_pinv(a: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -81,9 +81,8 @@ def _svd_pinv(a: np.ndarray, rel_tol: float) -> np.ndarray:
     same matrix are treated as zero.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > rel_tol * s[..., :1]
-    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (np.swapaxes(vt, -1, -2) * inv_s[..., None, :]) @ np.swapaxes(u, -1, -2)
+    inv_s = np.divide(1.0, s, out=np.zeros(s.shape), where=s > rel_tol * s[..., :1])
+    return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 def pseudoinverse(mat, rel_tol: float | None = None) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -59,6 +60,7 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def _key_words(value) -> list:
@@ -115,9 +117,15 @@ def stream_keys(master_seed, *key) -> np.ndarray:
     if all(a.size == 1 for a in arrays):
         # one stream: numpy's compiled SeedSequence hashes a single key
         # about twice as fast as this port does on Python integers
-        seed, *spawn_key = (a.item() if isinstance(a, np.ndarray) else a for a in args)
-        state = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
-        return state.reshape(*(1,) * max((a.ndim for a in arrays), default=0), 2)
+        if arrays:
+            args = [a.item() if isinstance(a, np.ndarray) else a for a in args]
+        sequence = np.random.SeedSequence(args[0], spawn_key=args[1:])
+        if _LITTLE_ENDIAN:
+            # generate_state(2, np.uint64) reads these four words as little-endian pairs
+            state = sequence.generate_state(4).view(np.uint64)
+        else:
+            state = sequence.generate_state(2, np.uint64)
+        return state.reshape((1,) * max(a.ndim for a in arrays) + (2,)) if arrays else state
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     entropy = _key_words(args[0])
     spawn = [w for a in args[1:] for w in _key_words(a)]

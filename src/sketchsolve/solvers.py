@@ -19,12 +19,18 @@ A proximal step is included as an equivalence oracle: for
 f_S(z) + (1-omega)/(2 omega) ||z - x||_B^2.
 
 One trajectory engine, :func:`run_trajectories`, runs every method: it
-steps all replications in lockstep as one (R, n) array, by the row step
-:meth:`Workspace.coordinate_step` under Coordinate sampling and else by
-the stacked :meth:`Workspace.general_step`, which the single steps share.
+steps all replications in lockstep as one (R, n) array (one replication
+as a row vector), by :meth:`Workspace.coordinate_step` under Coordinate
+sampling and else by the stacked :meth:`Workspace.general_step`, which
+the single steps share. Its buffers are time-major and written in place:
+x_{k+1} goes straight into its row of the iterate block (or into one of
+two reused rows when iterates are not recorded), and the per-step
+records are (K+1, R) rows, transposed once at the end. A run that
+``tol`` can stop early draws its Coordinate indices on demand, in chunks
+that double, so it draws only about what it uses, not ``max_iters``.
 Trajectories are reproducible: each (replication, worker) pair owns a
 keyed counter-based stream, so a replication's trace does not depend on
-which other replications run beside it.
+which other replications run beside it, nor on how its draws are chunked.
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ __all__ = [
 ]
 
 TRAJECTORY_STREAM = 202
+_EPS = np.finfo(float).eps
+# draws per stream before a run that tol can stop early asks for more
+_FIRST_DRAWS = 64
 METHODS = ("basic", "parallel", "accelerated")
 
 
@@ -143,41 +152,48 @@ class Workspace:
         self.row_gram = _readonly(np.einsum("ij,ji->i", problem.A, self.binv_at))
         # a row with a zero gram takes no step: y / inf = 0
         self._step_gram = _readonly(np.where(self.row_gram > 0.0, self.row_gram, np.inf))
+        # the one-row step reads b and the grams as floats
+        self._b_list, self._gram_list = self.b.tolist(), self._step_gram.tolist()
         # e @ I is e exactly, so B = I skips that product
         self._metric = None if np.array_equal(problem.metric.mat, np.eye(problem.n)) else problem.metric.mat
 
-    def norm_sq(self, e: np.ndarray) -> np.ndarray:
-        """||e_r||_B^2 for every row of e, with the products of e_r @ B @ e_r."""
+    def norm_sq(self, e: np.ndarray):
+        """||e||_B^2 of a row vector e, as a float, or of every row of an (R, n) block."""
+        if e.ndim == 1:
+            # ndarray.dot calls the BLAS kernels of @ on vectors with less overhead
+            return float((e if self._metric is None else e.dot(self._metric)).dot(e))
         be = e if self._metric is None else e @ self._metric
-        if len(e) == 1:
-            return be[0] @ e[0]
         return (be[:, None, :] @ e[:, :, None])[:, 0, 0]
 
-    def coordinate_step(self, x: np.ndarray, cols: np.ndarray, omega: float):
+    def coordinate_step(self, x: np.ndarray, cols, omega: float, out=None):
         """Averaged steps for S = e_{cols[r, i]}, all rows of x at once.
 
         ``x`` is (R, n) and ``cols`` is (R, tau); row r of the result is
         the mean over i of the steps from x[r] with S = e_{cols[r, i]}.
-        Returns (x_next, sketch_loss), the loss of each row's first step.
+        Returns (x_next, sketch_loss), the loss of each row's first step;
+        ``x_next`` is written to ``out`` when given. A row vector ``x``
+        takes the one step S = e_cols for an integer ``cols``, with a
+        float loss.
         """
-        if cols.shape == (1, 1):
-            # one row, one sketch: vector products, bitwise equal to the stacked ones
-            i = cols[0, 0]
-            y = self.A[i] @ x[0] - self.b[i]
-            coef = y / self._step_gram[i]
-            return x - (omega * coef) * self.binv_rows[i], 0.5 * y * coef
+        if x.ndim == 1:
+            # vector products on floats, bitwise equal to the stacked ones
+            y = float(self.A[cols].dot(x)) - self._b_list[cols]
+            coef = y / self._gram_list[cols]
+            x_next = np.multiply(self.binv_rows[cols], omega * coef, out=out)
+            return np.subtract(x, x_next, out=x_next), 0.5 * y * coef
         y = (self.A[cols] @ x[:, :, None])[:, :, 0] - self.b[cols]
         coef = y / self._step_gram[cols]
-        x_next = x - ((coef * (omega / cols.shape[1]))[:, None, :] @ self.binv_rows[cols])[:, 0, :]
-        return x_next, 0.5 * y[:, 0] * coef[:, 0]
+        step = ((coef * (omega / cols.shape[1]))[:, None, :] @ self.binv_rows[cols])[:, 0, :]
+        return np.subtract(x, step, out=out), 0.5 * y[:, 0] * coef[:, 0]
 
-    def general_step(self, x: np.ndarray, sketches, omega: float):
+    def general_step(self, x: np.ndarray, sketches, omega: float, out=None):
         """Averaged sketched steps for one iteration, all rows of x at once.
 
         ``x`` is (R, n) and ``sketches`` holds R groups of tau sketches, all
         index sets or all dense, all with the same q; row r of the result
         is the mean of the steps from x[r] with the sketches of group r.
-        Returns (x_next, sketch_loss), the loss of each row's first step.
+        Returns (x_next, sketch_loss), the loss of each row's first step;
+        ``x_next`` is written to ``out`` when given.
 
         An index-set sketch gathers its rows: S'A = A[cols] and
         S'(Ax - b) = (Ax - b)[cols]. Column signs are dropped because
@@ -204,13 +220,13 @@ class Workspace:
             if q == 1:
                 coef = y / self._step_gram[cols]
                 z = x[:, None] - (omega * coef) * self.binv_rows[cols[..., 0]]
-                return z.sum(axis=1) / tau, 0.5 * y[:, 0, 0] * coef[:, 0, 0]
+                return np.divide(z.sum(axis=1), tau, out=out), 0.5 * y[:, 0, 0] * coef[:, 0, 0]
             v = self.binv_rows[cols].swapaxes(-1, -2)
             gram = rows @ v
-        u = _svd_pinv(_symmetrize(gram), np.finfo(float).eps * q) @ y[..., None]
+        u = _svd_pinv(_symmetrize(gram), _EPS * q) @ y[..., None]
         z = x[:, None] - omega * (v @ u)[..., 0]
         loss = 0.5 * (y[:, 0, None, :] @ u[:, 0])[:, 0, 0]
-        return z.sum(axis=1) / tau, loss
+        return np.divide(z.sum(axis=1), tau, out=out), loss
 
 
 # a Workspace holds no reference to its problem, so an entry lives as long as the problem
@@ -279,17 +295,32 @@ def _within(error_sq: float, tol: float) -> bool:
 
 
 def _sketch_steps(ws, dist, config, method, replications, tau, samples):
-    """The function (x, k) -> (mean sketched step, first sketch loss) of iteration k.
+    """The step (x, k, out) -> first sketch loss of iteration k.
 
-    Coordinate sampling draws the uniforms of all R x tau streams up
-    front, through one re-keyed Philox generator (:func:`uniforms`), maps
-    them to row indices with one ``searchsorted`` and steps all
-    replications in one gathered update. Other distributions build one
-    generator per stream and draw the R x tau sketches of each iteration
-    from them; these, or the given ``samples`` (one replication), take
-    one stacked :meth:`Workspace.general_step` per iteration.
+    It writes the mean sketched step from x to ``out``: rows x (n,) for
+    one replication, (R, n) blocks for more. Coordinate sampling maps the
+    uniforms of all R x tau streams, drawn through one re-keyed Philox
+    generator (:func:`uniforms`), to row indices with one
+    ``searchsorted``. A run that ``config.tol`` can stop early draws
+    them on demand: ``_FIRST_DRAWS`` per stream, then, whenever they run
+    out, a redraw from counter 0 at double the length (capped at
+    ``max_iters``) of which only the new part is mapped. A redraw repeats
+    the earlier uniforms bit for bit, so the indices are those of one
+    draw. Other runs draw all ``max_iters`` at once. One stream takes the
+    one-row :meth:`Workspace.coordinate_step` on Python integers; more
+    take it stacked. Other distributions build one generator per stream
+    and draw the R x tau sketches of each iteration from them; these, or
+    the given ``samples`` (one replication), take one stacked
+    :meth:`Workspace.general_step` per iteration.
     """
     omega, k_max = config.omega, config.max_iters
+
+    def stacked(kernel, x, sketches, out):
+        if x.ndim == 2:
+            return kernel(x, sketches, omega, out)[1]
+        # a row vector steps as a one-row block
+        return kernel(x[None], sketches, omega, out[None])[1][0]
+
     if samples is not None:
         if len(replications) != 1:
             raise ValueError("given samples drive exactly one replication")
@@ -299,16 +330,34 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
         for k, group in enumerate(groups):
             if len(group) != tau:
                 raise ValueError(f"iteration {k}: expected {tau} sketches, got {len(group)}")
-        return lambda x, k: ws.general_step(x, [groups[k]], omega)
+        return lambda x, k, out: stacked(ws.general_step, x, [groups[k]], out)
     keys = stream_keys(
         config.master_seed, TRAJECTORY_STREAM, np.asarray(replications)[:, None], np.arange(tau)
     )
-    if isinstance(dist, Coordinate):
-        # (R, tau, K) uniforms; searchsorted writes the (K, R, tau) indices contiguously
-        rows = dist.indices(uniforms(keys, k_max).transpose(2, 0, 1))
-        return lambda x, k: ws.coordinate_step(x, rows[k], omega)
-    sources = [[generator(key) for key in row] for row in keys]
-    return lambda x, k: ws.general_step(x, [[dist.sample(g) for g in row] for row in sources], omega)
+    if not isinstance(dist, Coordinate):
+        sources = [[generator(key) for key in row] for row in keys]
+        return lambda x, k, out: stacked(
+            ws.general_step, x, [[dist.sample(g) for g in row] for row in sources], out
+        )
+
+    one = keys.size == 2
+
+    def draw(start, stop):
+        # (R, tau, stop) uniforms; searchsorted writes the (stop - start, R, tau)
+        # indices contiguously
+        block = dist.indices(uniforms(keys, stop)[..., start:].transpose(2, 0, 1))
+        return block.reshape(-1).tolist() if one else list(block)
+
+    cols = draw(0, k_max if config.tol is None else min(k_max, _FIRST_DRAWS))
+
+    def step(x, k, out):
+        if k == len(cols):
+            cols.extend(draw(k, min(2 * k, k_max)))
+        if one:
+            return ws.coordinate_step(x, cols[k], omega, out)[1]
+        return stacked(ws.coordinate_step, x, cols[k], out)
+
+    return step
 
 
 def run_trajectories(
@@ -354,40 +403,55 @@ def run_trajectories(
 
     step = _sketch_steps(ws, dist, config, method, replications, tau, samples)
 
+    # one replication steps as a row vector, more as an (R, n) block; the
+    # records are time-major: row k holds iteration k of every replication
     n_reps = len(replications)
-    error_sq = np.empty((n_reps, k_max + 1))
-    sketch_loss = np.empty((n_reps, k_max)) if method == "basic" else None
-    step_sq = np.empty((n_reps, k_max)) if method == "basic" else None
-    iterates = np.empty((n_reps, k_max + 1, problem.n)) if "iterates" in config.record else None
-    x = np.repeat(start[None], n_reps, axis=0)
-    error_sq[:, 0] = ws.norm_sq(x - anchor)
-    if iterates is not None:
-        iterates[:, 0] = x
-    tol, steps, z_prev = config.tol, 0, None
+    lead = () if n_reps == 1 else (n_reps,)
+    error_sq = np.empty((k_max + 1, *lead))
+    sketch_loss = np.empty((k_max, *lead)) if method == "basic" else None
+    step_sq = np.empty((k_max, *lead)) if method == "basic" else None
+    if "iterates" in config.record:
+        # x_{k+1} goes into row k + 1 of the iterate block
+        iterates = np.empty((n_reps, k_max + 1, problem.n))
+        path = iterates[0] if n_reps == 1 else iterates.swapaxes(0, 1)
+    else:
+        # x_{k+1} overwrites x_{k-1}
+        iterates, path = None, np.empty((2, *lead, problem.n))
+    z_path = np.empty((2, *lead, problem.n)) if method == "accelerated" else None
+    diff = np.empty((*lead, problem.n))
+    x = path[0]
+    x[...] = start
+    error_sq[0] = worst = ws.norm_sq(np.subtract(x, anchor, out=diff))
+    tol, steps = config.tol, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(k_max):
             # the test is monotone in the error, and a nan maximum fails it
-            if tol is not None and _within(error_sq[:, k].max(), tol):
+            if tol is not None and _within(worst if n_reps == 1 else worst.max(), tol):
                 break
-            z, loss = step(x, k)
+            x_next = path[(k + 1) % len(path)]
             if method != "accelerated":
-                x_next = z
-            elif k == 0:
-                x_next = np.repeat(second[None], n_reps, axis=0)
+                loss = step(x, k, x_next)
             else:
-                x_next = gamma * z + (1.0 - gamma) * z_prev
-            z_prev = z
-            error_sq[:, k + 1] = ws.norm_sq(x_next - anchor)
+                z = z_path[k % 2]
+                loss = step(x, k, z)
+                if k == 0:
+                    x_next[...] = second
+                else:
+                    np.multiply(z, gamma, out=x_next)
+                    x_next += (1.0 - gamma) * z_path[(k - 1) % 2]
+            error_sq[k + 1] = worst = ws.norm_sq(np.subtract(x_next, anchor, out=diff))
             if sketch_loss is not None:
-                sketch_loss[:, k] = loss
-                step_sq[:, k] = ws.norm_sq(x_next - x)
-            if iterates is not None:
-                iterates[:, k + 1] = x_next
+                sketch_loss[k] = loss
+                step_sq[k] = ws.norm_sq(np.subtract(x_next, x, out=diff))
             x = x_next
             steps = k + 1
 
     elapsed = time.perf_counter() - t0
-    error_sq = error_sq[:, : steps + 1]
+    # the records, transposed once to one row per replication
+    error_sq = np.ascontiguousarray(error_sq.reshape(k_max + 1, n_reps)[: steps + 1].T)
+    if sketch_loss is not None:
+        sketch_loss = np.ascontiguousarray(sketch_loss.reshape(k_max, n_reps)[:steps].T)
+        step_sq = np.ascontiguousarray(step_sq.reshape(k_max, n_reps)[:steps].T)
     finite = np.isfinite(error_sq)
     diverged_at = [None] * n_reps
     if not finite.all():
@@ -408,8 +472,8 @@ def run_trajectories(
             gamma=gamma,
             anchor=anchor,
             error_sq=error_sq[r],
-            sketch_loss=None if sketch_loss is None else sketch_loss[r, :steps],
-            step_sq=None if step_sq is None else step_sq[r, :steps],
+            sketch_loss=None if sketch_loss is None else sketch_loss[r],
+            step_sq=None if step_sq is None else step_sq[r],
             iterates=None if iterates is None else iterates[r, : steps + 1],
             seed_key=key + ((rep,) if method == "parallel" else (rep, 0)),
             elapsed=elapsed,

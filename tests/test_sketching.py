@@ -120,6 +120,16 @@ class TestStreamKeys:
         for row, seed in zip(got, seeds):
             assert np.array_equal(row, seed_sequence_key(int(seed), 5))
 
+    def test_one_stream_keys_equal_seed_sequence_over_many_keys(self):
+        # the one-stream path reads the four uint32 state words as two uint64 words
+        rng = np.random.default_rng(11)
+        for _ in range(600):
+            seed, rep, worker = (int(v) for v in rng.integers(0, 2**32, size=3))
+            want = seed_sequence_key(seed, 202, rep, worker)
+            assert np.array_equal(stream_keys(seed, 202, rep, worker), want)
+            got = stream_keys(seed, 202, np.array([rep])[:, None], np.array([worker]))
+            assert got.shape == (1, 1, 2) and np.array_equal(got[0, 0], want)
+
     def test_one_element_arrays_are_one_stream(self):
         got = stream_keys(9, np.array([[4]]), np.array([2**32]))
         assert got.shape == (1, 1, 2)
