@@ -93,7 +93,7 @@ def _from_step_one(samples: np.ndarray):
 
 
 def _quadratic_forms(errors: np.ndarray, mat: np.ndarray | None) -> np.ndarray:
-    """e' M e for every row e of an (R, K, n) stack, through one matrix product; None is M = I.
+    """e' M e for every row e of an (..., n) stack, through one matrix product; None is M = I.
 
     The forms of a divergent run overflow to inf or nan without
     warnings, as its errors do.
@@ -136,7 +136,7 @@ def monte_carlo_moments(
     weight = None if np.array_equal(metric.mat, np.eye(problem.n)) else metric.mat
     l2_error, l2_se = _moments(_quadratic_forms(errors, weight))
     mean_error = errors.mean(axis=0)
-    mean_error_norm_sq = np.einsum("ki,ij,kj->k", mean_error, metric.mat, mean_error)
+    mean_error_norm_sq = _quadratic_forms(mean_error, weight)
 
     transformed_mean = transformed_se = initial_transformed = None
     f_mean = f_se = cesaro_f = cesaro_f_se = None

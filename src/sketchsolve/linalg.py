@@ -8,8 +8,13 @@ can be shared freely across threads.
 
 The weighted pseudoinverse of an m-by-n system factorizes the m-by-n
 matrix A B^{-1/2}, never the m-by-m core A B^{-1} A', whose condition
-number is the square of it; this is what :class:`Problem` uses for its
-consistency check and projections.
+number is the square of it. :class:`Problem` computes that thin SVD
+A B^{-1/2} = U S V' once and it serves three uses: the pseudoinverse
+behind projections, the consistency check, and the exactness verdict.
+Exactness asks whether null(E[Z]) = null(A); with W = B^{-1/2} E[Z]
+B^{-1/2} that is null(W) = null(A B^{-1/2}), an n-by-n question that S
+and V' (kept on the problem) and the eigendecomposition of W answer
+without touching A again.
 """
 
 from __future__ import annotations
@@ -74,15 +79,19 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _svd_pinv(a: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Pseudoinverse of a matrix, or of each matrix in an (..., r, c) stack.
+def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Pseudoinverse V S^+ U' assembled from a thin SVD (or a stack of them).
 
     Singular values at or below ``rel_tol`` times the largest one of the
     same matrix are treated as zero.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
     inv_s = np.divide(1.0, s, out=np.zeros(s.shape), where=s > rel_tol * s[..., :1])
     return (vt.swapaxes(-1, -2) * inv_s[..., None, :]) @ u.swapaxes(-1, -2)
+
+
+def _svd_pinv(a: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Pseudoinverse of a matrix, or of each matrix in an (..., r, c) stack."""
+    return _pinv_from_svd(*np.linalg.svd(a, full_matrices=False), rel_tol)
 
 
 def pseudoinverse(mat, rel_tol: float | None = None) -> np.ndarray:
@@ -222,13 +231,23 @@ def b_pseudoinverse(mat, metric: SpdMatrix) -> np.ndarray:
     pseudoinverse when the metric is the identity. ``mat`` must have
     ``metric.dim`` columns.
     """
-    a = _as_matrix(mat)
+    return _b_pinv_from_svd(_weighted_svd(_as_matrix(mat), metric), metric)
+
+
+def _weighted_svd(a: np.ndarray, metric: SpdMatrix):
+    """Thin SVD ``(U, S, V')`` of A B^{-1/2}, the factor step of :func:`b_pseudoinverse`."""
     if a.shape[1] != metric.dim:
         raise ValueError(
             f"matrix has {a.shape[1]} columns, metric has dimension {metric.dim}"
         )
-    rel_tol = np.sqrt(np.finfo(float).eps * a.shape[0])
-    return metric.inv_sqrt @ _svd_pinv(a @ metric.inv_sqrt, rel_tol)
+    return np.linalg.svd(a @ metric.inv_sqrt, full_matrices=False)
+
+
+def _b_pinv_from_svd(factors, metric: SpdMatrix) -> np.ndarray:
+    """B^{-1/2} (A B^{-1/2})^+ from :func:`_weighted_svd`, the assemble step."""
+    u, s, vt = factors
+    rel_tol = np.sqrt(np.finfo(float).eps * u.shape[0])
+    return metric.inv_sqrt @ _pinv_from_svd(u, s, vt, rel_tol)
 
 
 class AffineSystem:
@@ -278,7 +297,12 @@ class Problem:
 
     Consistency is certified at construction; the certified residual is
     kept on the instance. The weighted pseudoinverse of A is cached so
-    projections onto the solution set are cheap to repeat.
+    projections onto the solution set are cheap to repeat. It comes from
+    one thin SVD A B^{-1/2} = U S V', whose singular values S
+    (``singular_values``, descending, min(m, n) of them) and right
+    singular vectors V' (``right_singular_vectors``, min(m, n) by n) are
+    kept read-only: the exactness verdict of a reformulation reads them
+    instead of factoring A again.
     """
 
     def __init__(self, mat, rhs, metric: SpdMatrix | None = None, consistency_tol: float = 1e-10):
@@ -291,7 +315,11 @@ class Problem:
             raise ValueError(
                 f"metric dimension {self.metric.dim} does not match {self.n} unknowns"
             )
-        self._dagger = _readonly(b_pseudoinverse(self.A, self.metric))
+        factors = _weighted_svd(self.A, self.metric)
+        _, sv, vt = factors
+        self._dagger = _readonly(_b_pinv_from_svd(factors, self.metric))
+        self.singular_values = _readonly(sv)
+        self.right_singular_vectors = _readonly(vt)
         x_min = self._dagger @ self.b
         self.consistency_residual = float(np.linalg.norm(self.A @ x_min - self.b))
         self._consistency_bound = consistency_tol * (1.0 + float(np.linalg.norm(self.b)))

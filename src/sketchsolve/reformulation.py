@@ -428,40 +428,46 @@ def build_reformulation(
     return Reformulation(problem, dist, ez, info, spec)
 
 
-def _null_basis_sym(mat: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
-    """(rank, null-space basis) of a symmetric PSD matrix."""
-    u, lam = sym_eigendecomposition(mat, sym_tol=1e-8)
-    scale = max(float(lam[0]), 0.0)
-    keep = lam > tol * max(scale, 1e-300)
-    rank = int(keep.sum())
-    return rank, u[:, rank:]
-
-
 def check_exactness(reform: Reformulation, tol: float = 1e-8) -> str:
     """Decide whether minimizing f recovers exactly the solutions of Ax = b.
 
-    The criterion is null(E[Z]) = null(A), tested by comparing ranks and
-    verifying that each numerical null-space basis vector of one matrix
-    is annihilated by the other. Needs an exactly known E[Z]; with a
-    Monte Carlo estimate the verdict is "undecidable".
+    The criterion is null(E[Z]) = null(A). Substituting x = B^{-1/2} y,
+    it reads null(W) = null(A B^{-1/2}) with W = B^{-1/2} E[Z] B^{-1/2},
+    which is decided on n-by-n objects the reformulation already holds:
+    the eigendecomposition of W from its spectrum, and the singular
+    values S and right singular vectors V' of the thin SVD
+    A B^{-1/2} = U S V' kept by its problem. Three tests, in order, each
+    relative to ``tol``:
+
+    1. the ranks agree: eigenvalues of W above ``tol * lambda_max``
+       against singular values above ``tol * sigma_max``;
+    2. A B^{-1/2} annihilates the null basis N of W: the entries of
+       S V' N (that is U' A B^{-1/2} N) stay within ``tol * sigma_max``;
+    3. W annihilates the complement of the row space span(V_r) of
+       A B^{-1/2}: the entries of W - (W V_r) V_r' stay within
+       ``tol * lambda_max``.
+
+    Only the thin V enters, so wide systems and a dense B take the same
+    path. Needs an exactly known E[Z]; with a Monte Carlo estimate the
+    verdict is "undecidable".
 
     Returns one of "exact", "not-exact", "undecidable".
     """
     if reform.estimation.kind != "exact":
         return "undecidable"
-    a = reform.problem.A
-    ez = reform.expected_Z
-    # full V (n by n) only when m < n; otherwise the thin SVD already has it
-    _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank_a = int((sv > tol * sv[0]).sum()) if sv[0] > 0 else 0
-    null_a = vt[rank_a:].T
-    rank_z, null_z = _null_basis_sym(ez, tol)
-    if rank_a != rank_z:
-        return "not-exact"
-    scale_z = max(float(np.linalg.norm(ez, 2)), 1e-300)
+    problem, spectrum = reform.problem, reform.spectrum
+    sv, vt = problem.singular_values, problem.right_singular_vectors
+    lam, w = spectrum.lambdas_raw, spectrum.W
     scale_a = max(float(sv[0]), 1e-300)
-    if null_a.shape[1] and float(np.abs(ez @ null_a).max()) > tol * scale_z:
+    scale_w = max(float(lam[0]), 1e-300)
+    rank = int((sv > tol * sv[0]).sum())
+    if int((lam > tol * scale_w).sum()) != rank:
         return "not-exact"
-    if null_z.shape[1] and float(np.abs(a @ null_z).max()) > tol * scale_a:
+    null_w = spectrum.U[:, rank:]
+    if null_w.shape[1] and float(np.abs((sv[:, None] * vt) @ null_w).max()) > tol * scale_a:
         return "not-exact"
+    if rank < problem.n:
+        row = vt[:rank].T
+        if float(np.abs(w - (w @ row) @ row.T).max()) > tol * scale_w:
+            return "not-exact"
     return "exact"

@@ -599,11 +599,23 @@ def check_value_decay(
 def check_convergence_window(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
-    """Stepsizes beyond 2/lambda_max leave the mean error non-decaying."""
+    """Stepsizes beyond 2/lambda_max leave the mean error non-decaying.
+
+    A mean error that overflows has not decayed: the check then decides
+    at its first non-finite iterate, with the mean growth factor per
+    step up to there as the rate.
+    """
     omega = 1.3 * 2.0 / reform.spectrum.lambda_max
     moments = experiments(omega=omega, replications=max(options.replications // 2, 2))
-    fitted = fit_rate(np.sqrt(np.maximum(moments.mean_error_norm_sq, 1e-300)))
-    return fitted.rate >= 1.0, fitted.rate - 1.0, {"omega": omega, "fitted_rate": fitted.rate}
+    norms = np.sqrt(np.maximum(moments.mean_error_norm_sq, 1e-300))
+    finite = np.isfinite(norms)
+    if finite.all():
+        rate = fit_rate(norms).rate
+        return rate >= 1.0, rate - 1.0, {"omega": omega, "fitted_rate": rate}
+    first = int(np.argmin(finite))
+    rate = float((norms[first - 1] / norms[0]) ** (1.0 / (first - 1))) if first > 1 else 1.0
+    details = {"omega": omega, "first_nonfinite_iterate": first, "growth_rate": rate}
+    return True, max(rate - 1.0, 0.0), details
 
 
 @_check(PROBLEM_CHECKS, "theorem:optimal-relaxation-argmin")

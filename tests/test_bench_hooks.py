@@ -1,11 +1,12 @@
 """The library names the benchmark tracer hooks into still exist.
 
 ``bench/tracing.py`` wraps attributes of sketchsolve by name, among them
-the two step kernels, ``Coordinate.sample_indices`` and every family's
-``sample``; renaming one would break a traced benchmark run. This test
-installs a tracer, runs one tiny basic-method solve through each step
-kernel, and checks that both kernels were counted and that restoring
-puts every original attribute back.
+the two step kernels, ``Coordinate.sample_indices``, every family's
+``sample`` and ``reformulation.check_exactness``; renaming one would
+break a traced benchmark run. These tests install a tracer, run one tiny
+basic-method solve through each step kernel or one exactness verdict,
+and check that each hook was counted and that restoring puts every
+original attribute back.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sketchsolve import sketching, solvers
+from sketchsolve import reformulation, sketching, solvers
 from sketchsolve.linalg import Problem
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -64,3 +65,19 @@ def test_tracer_hooks_count_both_step_kernels_and_restore():
     assert tracer.calls("solvers.coordinate_step") > 0
     for owner, attr in HOOKS:
         assert vars(owner)[attr] is originals[owner, attr], (owner.__name__, attr)
+
+
+def test_tracer_counts_one_exactness_verdict_and_restores():
+    tracing = load_tracing()
+    original = vars(reformulation)["check_exactness"]
+    problem = Problem(np.diag([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    reform = reformulation.build_reformulation(problem, sketching.kaczmarz_distribution(problem.A))
+    tracer = tracing.Tracer()
+    installation = tracing.install(tracer)
+    try:
+        assert vars(reformulation)["check_exactness"] is not original
+        assert reform.exactness() == "exact"
+    finally:
+        installation.restore()
+    assert tracer.calls("reformulation.check_exactness") == 1
+    assert vars(reformulation)["check_exactness"] is original

@@ -271,3 +271,24 @@ class TestProblem:
         p = Problem(a, a @ x_pl)
         x = rng.standard_normal(4)
         assert np.allclose(p.project(x), project_affine(x, p.system, p.metric))
+
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 5)])
+    def test_keeps_read_only_factors_of_weighted_matrix(self, shape):
+        # the thin SVD behind the pseudoinverse stays on the problem, read-only
+        rng = stream(18, shape[0])
+        a = rng.standard_normal(shape)
+        g = rng.standard_normal((shape[1], shape[1]))
+        metric = SpdMatrix(g @ g.T + 0.5 * np.eye(shape[1]))
+        p = Problem(a, a @ rng.standard_normal(shape[1]), metric)
+        k = min(shape)
+        assert p.singular_values.shape == (k,)
+        assert p.right_singular_vectors.shape == (k, shape[1])
+        weighted = a @ metric.inv_sqrt
+        assert np.allclose(p.singular_values, np.linalg.svd(weighted, compute_uv=False))
+        rebuilt = (p.right_singular_vectors.T * p.singular_values**2) @ p.right_singular_vectors
+        assert np.allclose(rebuilt, weighted.T @ weighted)
+        assert np.array_equal(p._dagger, b_pseudoinverse(a, metric))
+        for factor in (p.singular_values, p.right_singular_vectors, p._dagger):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0] = 1.0

@@ -393,6 +393,86 @@ class TestExactness:
         reform = build_reformulation(problem, kaczmarz_distribution(a))
         assert check_exactness(reform) == "exact"
 
+    @staticmethod
+    def original_coordinates_verdict(reform, tol=1e-8):
+        """The verdict from fresh factors in the original coordinates, as an oracle:
+        a full SVD of A and an eigendecomposition of E[Z], null(E[Z]) = null(A)."""
+        a, ez = reform.problem.A, reform.expected_Z
+        _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+        rank_a = int((sv > tol * sv[0]).sum())
+        lam, u = np.linalg.eigh(ez)
+        lam, u = lam[::-1], u[:, ::-1]
+        rank_z = int((lam > tol * max(lam[0], 1e-300)).sum())
+        null_a, null_z = vt[rank_a:].T, u[:, rank_z:]
+        if rank_a != rank_z:
+            return "not-exact"
+        if null_a.shape[1] and np.abs(ez @ null_a).max() > tol * np.linalg.norm(ez, 2):
+            return "not-exact"
+        if null_z.shape[1] and np.abs(a @ null_z).max() > tol * sv[0]:
+            return "not-exact"
+        return "exact"
+
+    def test_verdicts_match_original_coordinates(self):
+        # random small instances: wide and tall, rank-deficient A, dense B,
+        # a zero-probability row, Block supports and a one-row distribution
+        rng = stream(38, 0)
+        seen = {"exact": 0, "not-exact": 0, "wide": 0, "tall": 0, "deficient": 0}
+        for _ in range(400):
+            m, n = (int(v) for v in rng.integers(1, 9, size=2))
+            r = int(rng.integers(1, min(m, n) + 1))
+            a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+            metric = SpdMatrix.identity(n)
+            if rng.random() < 0.5:
+                g = rng.standard_normal((n, n))
+                metric = SpdMatrix(g @ g.T + 0.5 * np.eye(n))
+            problem = Problem(a, a @ rng.standard_normal(n), metric)
+            kind = int(rng.integers(4))
+            if kind == 0:
+                dist = kaczmarz_distribution(a)
+            elif kind == 1:
+                p = rng.random(m) + 0.1
+                p[int(rng.integers(m))] = 0.0
+                dist = Coordinate(p / p.sum()) if m > 1 else FixedIdentity(1)
+            elif kind == 2:
+                dist = Block(m, int(rng.integers(1, m + 1)))
+            else:
+                dist = Coordinate(np.eye(m)[int(rng.integers(m))])
+            reform = build_reformulation(problem, dist)
+            verdict = check_exactness(reform)
+            assert verdict == self.original_coordinates_verdict(reform), (m, n, r, kind)
+            seen[verdict] += 1
+            seen["wide"] += m < n
+            seen["tall"] += m > n
+            seen["deficient"] += r < min(m, n)
+        assert min(seen.values()) >= 20, seen
+
+    def test_reads_factors_without_decomposing(self, monkeypatch):
+        # the verdict comes from the problem's SVD and the spectrum's eigh
+        rng = stream(39, 0)
+        a = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))
+        g = rng.standard_normal((5, 5))
+        problem = Problem(a, a @ rng.standard_normal(5), SpdMatrix(g @ g.T + np.eye(5)))
+        reform = build_reformulation(problem, Block(3, 2))
+        calls = []
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return counted
+
+        # numpy's own functions (the matrix 2-norm among them) call the
+        # names of its implementation module, so both are counted
+        for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+            for name in ("svd", "eigh", "eigvalsh"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        np.linalg.norm(np.eye(2), 2)
+        assert calls
+        calls.clear()
+        assert reform.exactness() == "exact"
+        assert calls == []
+
 
 class TestAveragedLoss:
     def reference(self):

@@ -54,6 +54,19 @@ def test_exactness_check_flags_biased_sampling():
     assert result.details["verdict"] == "not-exact"
 
 
+def test_convergence_window_decides_at_overflow(reference):
+    # at omega = 2.6 / lambda_max the Monte Carlo mean error of the reference
+    # system overflows within 600 iterations; the overflow is the non-decay
+    problem, reform = reference
+    options = ValidationOptions(seed=99, replications=8, iterations=600)
+    [result] = run_validation(problem, reform, options, ["corollary:convergence-window"])
+    first = result.details["first_nonfinite_iterate"]
+    assert 1 < first <= options.iterations
+    assert result.passed
+    assert np.isfinite(result.margin) and result.margin > 0.0
+    assert result.margin == result.details["growth_rate"] - 1.0
+
+
 def test_monte_carlo_spectrum_path():
     # gaussian sketches have no finite support: spectrum-prediction checks
     # either widen their bands by the eigenvalue uncertainty or skip
