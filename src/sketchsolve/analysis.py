@@ -79,10 +79,15 @@ class MomentEstimates:
 
 
 def _moments(values: np.ndarray):
-    """Mean and standard error over the leading (replication) axis."""
+    """Mean and standard error over the leading (replication) axis.
+
+    The moments of a divergent run overflow to inf or nan without
+    warnings, as its errors do.
+    """
     r = values.shape[0]
-    se = np.zeros(values.shape[1:]) if r < 2 else values.std(axis=0, ddof=1) / math.sqrt(r)
-    return values.mean(axis=0), se
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = np.zeros(values.shape[1:]) if r < 2 else values.std(axis=0, ddof=1) / math.sqrt(r)
+        return values.mean(axis=0), se
 
 
 def _from_step_one(samples: np.ndarray):

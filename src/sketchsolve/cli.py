@@ -45,7 +45,7 @@ from .solvers import (  # noqa: F401
     run_trajectories,
     stepsize_policy,
 )
-from .validation import LIBRARY_CHECKS, PROBLEM_CHECKS, ValidationOptions, run_validation
+from .validation import LIBRARY_CHECKS, PROBLEM_CHECKS, REPLICATED_CHECKS, ValidationOptions, run_validation
 
 DEFAULT_RUN_CHECKS = ["lemma:pathwise-step-identities", "lemma:spectrum-in-unit-interval"]
 
@@ -154,11 +154,20 @@ def _run_solver(spec, index, base, problem, dist, reform, cfg):
 
 
 def _checks(cfg: ExperimentConfig, default: list[str]) -> list[str]:
-    """The configured check names, ``default`` when unset; an unknown name raises ConfigError."""
+    """The configured check names, ``default`` when unset.
+
+    An unknown name raises ConfigError, as does a single replication
+    with a check whose Monte Carlo moments need at least two.
+    """
     checks = default if cfg.checks is None else cfg.checks
     unknown = [name for name in checks if name not in LIBRARY_CHECKS and name not in PROBLEM_CHECKS]
     if unknown:
         raise ConfigError("checks", f"unknown check {unknown[0]!r}")
+    replicated = [name for name in checks if name in REPLICATED_CHECKS]
+    if cfg.replications < 2 and replicated:
+        raise ConfigError(
+            "<root>.replications", f"must be at least 2 for the Monte Carlo check {replicated[0]!r}"
+        )
     return checks
 
 
@@ -177,6 +186,10 @@ def _setup(cfg: ExperimentConfig, out_dir: Path):
     """Problem, distribution and reformulation of a config; writes diagnostics.json."""
     problem, _ = build_problem(cfg)
     dist = build_distribution(cfg, problem)
+    if cfg.expectation_samples < 2 and dist.support(cfg.support_cap) is None:
+        raise ConfigError(
+            "<root>.expectation_samples", "must be at least 2 for a Monte Carlo estimate of E[Z]"
+        )
     reform = build_reformulation(
         problem, dist, seed=cfg.seed, n_samples=cfg.expectation_samples, support_cap=cfg.support_cap
     )

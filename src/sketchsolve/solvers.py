@@ -22,12 +22,19 @@ One trajectory engine, :func:`run_trajectories`, runs every method: it
 steps all replications in lockstep as one (R, n) array (one replication
 as a row vector), by :meth:`Workspace.coordinate_step` under Coordinate
 sampling and else by the stacked :meth:`Workspace.general_step`, which
-the single steps share. Its buffers are time-major and written in place:
-x_{k+1} goes straight into its row of the iterate block (or into one of
-two reused rows when iterates are not recorded), and the per-step
-records are (K+1, R) rows, transposed once at the end. A run that
-``tol`` can stop early draws its Coordinate indices on demand, in chunks
-that double, so it draws only about what it uses, not ``max_iters``.
+the single steps share. Its loop takes the sketched step alone, a chunk
+of iterations at a time: x_{k+1} goes straight into its row of the
+iterate block (or of one reused chunk buffer when iterates are not
+recorded). After each chunk, the error norms and step lengths of all
+its rows are taken in bulk by :meth:`Workspace.norms_sq`, bit-equal to
+the vector products of one iteration, and the ``tol`` test stops the
+run at the first row within it; the steps past that row are dropped.
+A chunk's rows fit a byte budget. The per-step records are time-major
+(K+1, R) rows, transposed once at the end. A run that ``tol`` can stop
+early starts with short chunks that double, so a short solve steps
+little past its stop, and draws its Coordinate indices on demand, in
+blocks that double, so it draws only about what it uses, not
+``max_iters``.
 Trajectories are reproducible: each (replication, worker) pair owns a
 keyed counter-based stream, so a replication's trace does not depend on
 which other replications run beside it, nor on how its draws are chunked.
@@ -35,7 +42,6 @@ which other replications run beside it, nor on how its draws are chunked.
 
 from __future__ import annotations
 
-import math
 import time
 import weakref
 from dataclasses import dataclass
@@ -68,6 +74,13 @@ TRAJECTORY_STREAM = 202
 _EPS = np.finfo(float).eps
 # draws per stream before a run that tol can stop early asks for more
 _FIRST_DRAWS = 64
+# iterations run in chunks whose iterate rows fit in _CHUNK_BYTES (at most
+# _MAX_CHUNK); norms and the tol test run once per chunk. A run that tol can
+# stop early starts at _FIRST_CHUNK and doubles, so a short solve steps little
+# past its stop, and every chunk end from _FIRST_DRAWS on is a draw boundary.
+_CHUNK_BYTES = 1 << 16
+_MAX_CHUNK = 64
+_FIRST_CHUNK = 8
 METHODS = ("basic", "parallel", "accelerated")
 
 
@@ -157,13 +170,22 @@ class Workspace:
         # e @ I is e exactly, so B = I skips that product
         self._metric = None if np.array_equal(problem.metric.mat, np.eye(problem.n)) else problem.metric.mat
 
-    def norm_sq(self, e: np.ndarray):
-        """||e||_B^2 of a row vector e, as a float, or of every row of an (R, n) block."""
-        if e.ndim == 1:
-            # ndarray.dot calls the BLAS kernels of @ on vectors with less overhead
-            return float((e if self._metric is None else e.dot(self._metric)).dot(e))
-        be = e if self._metric is None else e @ self._metric
-        return (be[:, None, :] @ e[:, :, None])[:, 0, 0]
+    def norms_sq(self, e: np.ndarray) -> np.ndarray:
+        """||e_k||_B^2 of every row of a (c, n) block, or of every (k, r) of a (c, R, n) stack.
+
+        Each value is bit-equal to the product one vector or block takes
+        alone: a row goes through a stack of (1, n) @ M products, the
+        gemv of ``e_k.dot(M)`` (a 2-D ``e @ M`` is a gemm, which rounds
+        differently), and a block through ``e_k @ M``; the dot is a
+        batched (1, n) @ (n, 1) product.
+        """
+        if self._metric is None:
+            be = e
+        elif e.ndim == 2:
+            be = (e[:, None, :] @ self._metric)[:, 0]
+        else:
+            be = e @ self._metric
+        return (be[..., None, :] @ e[..., :, None])[..., 0, 0]
 
     def coordinate_step(self, x: np.ndarray, cols, omega: float, out=None):
         """Averaged steps for S = e_{cols[r, i]}, all rows of x at once.
@@ -290,8 +312,16 @@ def _acceleration_gamma(config: SolverConfig) -> float:
     return 2.0 / (1.0 + np.sqrt(mu))
 
 
-def _within(error_sq: float, tol: float) -> bool:
-    return math.sqrt(max(float(error_sq), 0.0)) <= tol
+def _within_tol(error_sq: np.ndarray, tol: float) -> np.ndarray:
+    """sqrt(max(e, 0)) <= tol for every entry e; a nan is not within tol."""
+    return np.sqrt(np.maximum(error_sq, 0.0)) <= tol
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """Iterations per chunk: the largest power of two, at most ``_MAX_CHUNK``,
+    whose rows of ``row_bytes`` each fit ``_CHUNK_BYTES``, and at least 1."""
+    rows = min(_MAX_CHUNK, max(1, _CHUNK_BYTES // row_bytes))
+    return 1 << (rows.bit_length() - 1)
 
 
 def _sketch_steps(ws, dist, config, method, replications, tau, samples):
@@ -407,6 +437,7 @@ def run_trajectories(
     # records are time-major: row k holds iteration k of every replication
     n_reps = len(replications)
     lead = () if n_reps == 1 else (n_reps,)
+    chunk = _chunk_rows(8 * n_reps * problem.n)
     error_sq = np.empty((k_max + 1, *lead))
     sketch_loss = np.empty((k_max, *lead)) if method == "basic" else None
     step_sq = np.empty((k_max, *lead)) if method == "basic" else None
@@ -415,36 +446,45 @@ def run_trajectories(
         iterates = np.empty((n_reps, k_max + 1, problem.n))
         path = iterates[0] if n_reps == 1 else iterates.swapaxes(0, 1)
     else:
-        # x_{k+1} overwrites x_{k-1}
-        iterates, path = None, np.empty((2, *lead, problem.n))
+        # x_{k+j+1} goes into row j + 1 of one reused chunk, whose last row starts the next
+        iterates, path = None, np.empty((chunk + 1, *lead, problem.n))
     z_path = np.empty((2, *lead, problem.n)) if method == "accelerated" else None
-    diff = np.empty((*lead, problem.n))
-    x = path[0]
-    x[...] = start
-    error_sq[0] = worst = ws.norm_sq(np.subtract(x, anchor, out=diff))
-    tol, steps = config.tol, 0
+    diff = np.empty((chunk, *lead, problem.n))
+    path[0] = start
+    error_sq[0] = ws.norms_sq(np.subtract(path[:1], anchor, out=diff[:1]))[0]
+    tol, k = config.tol, 0
+    # the tol test is monotone in the error, and a nan maximum fails it
+    steps = 0 if tol is not None and _within_tol(error_sq[0].max(), tol) else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            # the test is monotone in the error, and a nan maximum fails it
-            if tol is not None and _within(worst if n_reps == 1 else worst.max(), tol):
-                break
-            x_next = path[(k + 1) % len(path)]
+        while steps is None and k < k_max:
+            c = min(chunk if tol is None else max(k, _FIRST_CHUNK), chunk, k_max - k)
+            rows = path[: c + 1] if iterates is None else path[k : k + c + 1]
             if method != "accelerated":
-                loss = step(x, k, x_next)
+                losses = [step(rows[j], k + j, rows[j + 1]) for j in range(c)]
+                if sketch_loss is not None:
+                    sketch_loss[k : k + c] = losses
             else:
-                z = z_path[k % 2]
-                loss = step(x, k, z)
-                if k == 0:
-                    x_next[...] = second
-                else:
-                    np.multiply(z, gamma, out=x_next)
-                    x_next += (1.0 - gamma) * z_path[(k - 1) % 2]
-            error_sq[k + 1] = worst = ws.norm_sq(np.subtract(x_next, anchor, out=diff))
-            if sketch_loss is not None:
-                sketch_loss[k] = loss
-                step_sq[k] = ws.norm_sq(np.subtract(x_next, x, out=diff))
-            x = x_next
-            steps = k + 1
+                for j in range(c):
+                    z = z_path[(k + j) % 2]
+                    step(rows[j], k + j, z)
+                    if k + j == 0:
+                        rows[1] = second
+                    else:
+                        np.multiply(z, gamma, out=rows[j + 1])
+                        rows[j + 1] += (1.0 - gamma) * z_path[(k + j - 1) % 2]
+            errors = error_sq[k + 1 : k + c + 1]
+            errors[...] = ws.norms_sq(np.subtract(rows[1:], anchor, out=diff[:c]))
+            if step_sq is not None:
+                step_sq[k : k + c] = ws.norms_sq(np.subtract(rows[1:], rows[:-1], out=diff[:c]))
+            if tol is not None:
+                hits = np.flatnonzero(_within_tol(errors if n_reps == 1 else errors.max(axis=1), tol))
+                if hits.size:
+                    steps = k + 1 + int(hits[0])
+            k += c
+            if iterates is None:
+                path[0] = rows[-1]
+    if steps is None:
+        steps = k
 
     elapsed = time.perf_counter() - t0
     # the records, transposed once to one row per replication
@@ -461,8 +501,7 @@ def run_trajectories(
             diverged_at[r] = int(first_bad[r])
     converged = [None] * n_reps
     if tol is not None:
-        # _within for every row at once: a nan error is not within tol
-        converged = (np.sqrt(np.maximum(error_sq[:, -1], 0.0)) <= tol).tolist()
+        converged = _within_tol(error_sq[:, -1], tol).tolist()
     key = (config.master_seed, TRAJECTORY_STREAM)
     return [
         IterationTrace(

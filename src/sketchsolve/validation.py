@@ -57,7 +57,14 @@ from .solvers import (
     run_basic,
 )
 
-__all__ = ["CheckResult", "ValidationOptions", "run_validation", "LIBRARY_CHECKS", "PROBLEM_CHECKS"]
+__all__ = [
+    "CheckResult",
+    "ValidationOptions",
+    "run_validation",
+    "LIBRARY_CHECKS",
+    "PROBLEM_CHECKS",
+    "REPLICATED_CHECKS",
+]
 
 VALIDATION_STREAM = 303
 
@@ -97,18 +104,24 @@ class ValidationOptions:
 # options, a problem check (problem, reform, options, experiments)
 LIBRARY_CHECKS = {}
 PROBLEM_CHECKS = {}
+# anchors of the checks whose Monte Carlo experiments take
+# ``options.replications``, which must then be at least 2
+REPLICATED_CHECKS = set()
 
 _MC_SKIP_REASON = "needs an exactly known expected operator; estimation is Monte Carlo"
 
 
-def _check(registry: dict, anchor: str, exact_only: bool = False):
+def _check(registry: dict, anchor: str, exact_only: bool = False, replicated: bool = False):
     """Register a check under its anchor.
 
     The decorated function returns ``(passed, margin, details)``; what is
     registered, and bound to its name, returns the :class:`CheckResult`.
     An ``exact_only`` problem check is skipped, as passed with margin 0,
-    when E[Z] is a Monte Carlo estimate.
+    when E[Z] is a Monte Carlo estimate. A ``replicated`` check joins
+    ``REPLICATED_CHECKS``.
     """
+    if replicated:
+        REPLICATED_CHECKS.add(anchor)
 
     def register(check):
         @functools.wraps(check)
@@ -465,7 +478,7 @@ def _lambda_uncertainty(reform: Reformulation) -> float:
     return 3.0 * (reform.estimation.se_norm or 0.0) / b_min
 
 
-@_check(PROBLEM_CHECKS, "theorem:expected-iterate-recursion")
+@_check(PROBLEM_CHECKS, "theorem:expected-iterate-recursion", replicated=True)
 def check_expected_iterates(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
@@ -498,7 +511,7 @@ def check_expected_iterates(
     return _gap(worst, replications=options.replications, worst_gap=worst)
 
 
-@_check(PROBLEM_CHECKS, "lemma:null-component-anchoring")
+@_check(PROBLEM_CHECKS, "lemma:null-component-anchoring", replicated=True)
 def check_null_component_anchoring(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
@@ -517,7 +530,7 @@ def check_null_component_anchoring(
     return _gap(worst, null_components=int(null_idx.size), worst_gap=worst)
 
 
-@_check(PROBLEM_CHECKS, "theorem:l2-two-sided-band")
+@_check(PROBLEM_CHECKS, "theorem:l2-two-sided-band", replicated=True)
 def check_l2_band(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
@@ -545,7 +558,7 @@ def check_l2_band(
     return _gap(worst, 1e-12, replications=options.replications, worst_gap=worst)
 
 
-@_check(PROBLEM_CHECKS, "theorem:cesaro-average-bounds", exact_only=True)
+@_check(PROBLEM_CHECKS, "theorem:cesaro-average-bounds", exact_only=True, replicated=True)
 def check_cesaro_bounds(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
@@ -567,7 +580,7 @@ def check_cesaro_bounds(
     return _gap(worst, 1e-12, replications=options.replications, worst_gap=worst)
 
 
-@_check(PROBLEM_CHECKS, "theorem:value-decay", exact_only=True)
+@_check(PROBLEM_CHECKS, "theorem:value-decay", exact_only=True, replicated=True)
 def check_value_decay(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
@@ -635,7 +648,7 @@ def check_optimal_relaxation(
     return gap <= spacing and all_above, spacing - gap, {"omega_star": omega_star, "grid_argmin": best}
 
 
-@_check(PROBLEM_CHECKS, "theorem:parallel-rate-bound", exact_only=True)
+@_check(PROBLEM_CHECKS, "theorem:parallel-rate-bound", exact_only=True, replicated=True)
 def check_parallel_rate_bound(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
@@ -652,7 +665,7 @@ def check_parallel_rate_bound(
     return _gap(worst, tau=tau, omega=omega, rho=rho, worst_gap=worst)
 
 
-@_check(PROBLEM_CHECKS, "theorem:accelerated-mean-decay", exact_only=True)
+@_check(PROBLEM_CHECKS, "theorem:accelerated-mean-decay", exact_only=True, replicated=True)
 def check_accelerated_mean(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
@@ -716,7 +729,7 @@ def _recurrence_constants(e_coef: float, f_coef: float, w0: float) -> float:
     return abs(sol.c0) + abs(sol.c1)
 
 
-@_check(PROBLEM_CHECKS, "identity:mean-vs-mean-square")
+@_check(PROBLEM_CHECKS, "identity:mean-vs-mean-square", replicated=True)
 def check_jensen(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):

@@ -279,6 +279,45 @@ class TestCliCommands:
         assert "Traceback" not in proc.stderr
         assert not list(out.glob("trace_*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [
+            ("validate", {"replications": 1}, "<root>.replications"),
+            ("run", {"replications": 1, "checks": ["theorem:l2-two-sided-band"]}, "<root>.replications"),
+        ]
+        + [
+            (
+                command,
+                {"expectation_samples": 1, "distribution": {"kind": "gaussian", "columns": 1}},
+                "<root>.expectation_samples",
+            )
+            for command in ("diagnose", "run", "validate")
+        ],
+    )
+    def test_too_few_monte_carlo_samples_exit_two(self, tmp_path, command, overrides, field):
+        # a standard error needs two samples: one replication or one E[Z] draw is a config error
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg.update(overrides)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", command, str(path), "--output-dir", str(tmp_path / "o")],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {field}:")
+        assert "Traceback" not in proc.stderr
+
+    def test_one_replication_runs_without_monte_carlo_checks(self, tmp_path, capsys):
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg.update(replications=1, expectation_samples=1)  # E[Z] is exact here: the samples go unused
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_inconsistent_system_exits_two(self, tmp_path, capsys):
         mtx = tmp_path / "a.mtx"
         mtx.write_text(
