@@ -55,7 +55,6 @@ class MomentEstimates:
     """
 
     replications: int
-    mean_error: np.ndarray  # (K+1, n)
     mean_error_norm_sq: np.ndarray  # (K+1,)  ||E[x_k - x*]||_B^2
     transformed_mean: np.ndarray | None  # (K+1, n)
     transformed_se: np.ndarray | None  # (K+1, n)
@@ -125,9 +124,9 @@ def monte_carlo_moments(
     """Estimate the theorem-tracked moments by independent replications.
 
     Replication r draws from streams keyed by (master seed, r, worker),
-    all in lockstep through :func:`run_trajectories`. Transformed-
-    coordinate and f-value moments need ``reform`` (for U and E[Z]) and
-    are skipped without it.
+    all in lockstep through :func:`run_trajectories`, whose ``error_sq``
+    rows are the L2 samples. Transformed-coordinate and f-value moments
+    need ``reform`` (for U and E[Z]) and are skipped without it.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications")
@@ -138,8 +137,8 @@ def monte_carlo_moments(
     metric = problem.metric
 
     # e @ I is e exactly, so B = I skips that product
-    weight = None if np.array_equal(metric.mat, np.eye(problem.n)) else metric.mat
-    l2_error, l2_se = _moments(_quadratic_forms(errors, weight))
+    weight = None if metric.is_identity else metric.mat
+    l2_error, l2_se = _moments(np.stack([t.error_sq for t in traces]))
     mean_error = errors.mean(axis=0)
     mean_error_norm_sq = _quadratic_forms(mean_error, weight)
 
@@ -165,7 +164,6 @@ def monte_carlo_moments(
 
     return MomentEstimates(
         replications=replications,
-        mean_error=mean_error,
         mean_error_norm_sq=mean_error_norm_sq,
         transformed_mean=transformed_mean,
         transformed_se=transformed_se,

@@ -14,7 +14,7 @@ fixed. The only wall-clock text is the one generated_at line in
 summary.json. ``--threads`` is accepted and changes nothing.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed, 2 invalid
-input.
+input (including a system whose expected operator sees nothing).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .analysis import fit_rate, theoretical_rates
 from .config import ConfigError, ExperimentConfig, build_distribution, build_problem, load_config
 from .linalg import InconsistentSystemError
 from .mmio import ParseError
-from .reformulation import build_reformulation
+from .reformulation import DegenerateSpectrumError, build_reformulation
 # run_basic, run_parallel and run_accelerated stay importable from here and
 # from analysis because bench/tracing.py wraps them where it looks them up
 from .solvers import (  # noqa: F401
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.output_dir or cfg.output_dir or "out")
         command = {"run": cmd_run, "diagnose": cmd_diagnose, "validate": cmd_validate}[args.command]
         return command(cfg, out_dir)
-    except (ConfigError, ParseError, InconsistentSystemError, FileNotFoundError, OSError) as exc:
+    except (ConfigError, ParseError, InconsistentSystemError, DegenerateSpectrumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .linalg import Problem, SpdMatrix
+from .linalg import InconsistentSystemError, Problem, SpdMatrix
 from .mmio import ParseError, load_matrix_market, load_vector
 from .problems import ProblemSpec, generate_problem
 from .sketching import (
@@ -167,7 +167,11 @@ def _build_metric(cfg: ExperimentConfig, n: int, generated: SpdMatrix) -> SpdMat
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Materialize the problem from a config; returns (Problem, x_planted)."""
+    """Materialize the problem from a config; returns (Problem, x_planted).
+
+    A system ``Problem`` rejects (say, an empty one) raises ConfigError;
+    an inconsistent one still raises InconsistentSystemError.
+    """
     spec = cfg.problem
     kind = spec["kind"]
     if kind == "files":
@@ -179,28 +183,33 @@ def build_problem(cfg: ExperimentConfig):
             raise ConfigError(
                 "problem.rhs", f"right-hand side has {b.size} entries, matrix has {a.shape[0]} rows"
             )
-        metric = _build_metric(cfg, a.shape[1], SpdMatrix.identity(a.shape[1]))
-        return Problem(a, b, metric), None
-    pspec = ProblemSpec(
-        kind=kind,
-        rows=spec.get("rows"),
-        cols=spec.get("cols"),
-        size=spec.get("size"),
-        condition=spec.get("condition"),
-        diagonal=tuple(spec["diagonal"]) if "diagonal" in spec else None,
-        planted=tuple(spec["planted"]) if "planted" in spec else None,
-        nodes=spec.get("nodes"),
-        topology=spec.get("topology", "random"),
-        extra_edges=spec.get("extra_edges", 0),
-        edges=tuple(tuple(e) for e in spec["edges"]) if "edges" in spec else None,
-        seed=spec.get("seed", cfg.seed),
-    )
+        metric, planted = _build_metric(cfg, a.shape[1], SpdMatrix.identity(a.shape[1])), None
+    else:
+        pspec = ProblemSpec(
+            kind=kind,
+            rows=spec.get("rows"),
+            cols=spec.get("cols"),
+            size=spec.get("size"),
+            condition=spec.get("condition"),
+            diagonal=tuple(spec["diagonal"]) if "diagonal" in spec else None,
+            planted=tuple(spec["planted"]) if "planted" in spec else None,
+            nodes=spec.get("nodes"),
+            topology=spec.get("topology", "random"),
+            extra_edges=spec.get("extra_edges", 0),
+            edges=tuple(tuple(e) for e in spec["edges"]) if "edges" in spec else None,
+            seed=spec.get("seed", cfg.seed),
+        )
+        try:
+            a, b, generated_metric, planted = generate_problem(pspec)
+        except ValueError as exc:
+            raise ConfigError("problem", str(exc)) from None
+        metric = _build_metric(cfg, a.shape[1], generated_metric)
     try:
-        a, b, generated_metric, planted = generate_problem(pspec)
+        return Problem(a, b, metric), planted
+    except InconsistentSystemError:
+        raise
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from None
-    metric = _build_metric(cfg, a.shape[1], generated_metric)
-    return Problem(a, b, metric), planted
 
 
 def build_distribution(cfg: ExperimentConfig, problem: Problem) -> SketchDistribution:

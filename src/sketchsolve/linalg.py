@@ -145,7 +145,8 @@ class SpdMatrix:
     square root and inverse, all computed once at construction from a
     symmetric eigendecomposition. Eigenvalues at or below
     ``1e-12 * lambda_max`` are an error, not clamped: the weighting
-    matrix must be strictly positive definite.
+    matrix must be strictly positive definite. ``is_identity`` records
+    once whether it is exactly I, where products with it can be skipped.
     """
 
     def __init__(self, mat, sym_tol: float = 1e-12):
@@ -165,6 +166,7 @@ class SpdMatrix:
                 f"[{lam[0]:.3e}, {lam[-1]:.3e}]"
             )
         self.dim = a.shape[0]
+        self.is_identity = bool(np.array_equal(a, np.eye(self.dim)))
         self.mat = _readonly(a)
         self.sqrt = _readonly(_symmetrize((u * np.sqrt(lam)) @ u.T))
         self.inv_sqrt = _readonly(_symmetrize((u / np.sqrt(lam)) @ u.T))
@@ -179,6 +181,7 @@ class SpdMatrix:
             raise ValueError(f"identity dimension must be positive, got {n}")
         out = cls.__new__(cls)
         out.dim = n
+        out.is_identity = True
         out.mat = out.sqrt = out.inv_sqrt = out.inv = _readonly(np.eye(n))
         out.eigenvalues = _readonly(np.ones(n))
         return out

@@ -29,7 +29,7 @@ reference the expectations are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,11 +144,21 @@ def sketched_projection(sys: SketchedSystem, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimationInfo:
-    """How an expectation was obtained: exactly or by Monte Carlo."""
+    """How an expectation was obtained: exactly or by Monte Carlo.
+
+    An exact estimate keeps the ``support`` it summed over, for E[H] and
+    the checks to read; it is left out of repr, comparisons and to_dict.
+    """
 
     kind: str  # "exact" or "monte-carlo"
     n_samples: int | None = None
     se_norm: float | None = None  # spectral norm of the standard-error matrix
+    support: Support | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def eigenvalue_slack(self) -> float:
+        """How far an eigenvalue of W may stray outside [0, 1]: roundoff, plus 3 SE for Monte Carlo."""
+        return 1e-8 if self.kind == "exact" else 1e-8 + 3.0 * (self.se_norm or 0.0)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -212,7 +222,8 @@ def expected_Z(
     Uses the enumerated support (exact weighted sum over its stacked
     atoms) when available, otherwise a Monte Carlo mean of ``n_samples``
     draws with a reported standard error. Only Z is computed per atom or
-    draw, never H. The result is symmetrized either way.
+    draw, never H. The result is symmetrized either way. The support,
+    enumerated at ``support_cap``, rides on an exact estimate's info.
 
     Returns
     -------
@@ -225,7 +236,7 @@ def expected_Z(
         ez = np.zeros((n, n))
         for _, probs, rows, gram_pinv in _support_chunks(a, metric, support):
             ez += _weighted_z_sum(rows, gram_pinv, probs)
-        return _symmetrize(ez), EstimationInfo(kind="exact")
+        return _symmetrize(ez), EstimationInfo(kind="exact", support=support)
     if n_samples < 2:
         raise ValueError("Monte Carlo estimation needs at least 2 samples")
     if rng is None:
@@ -309,7 +320,7 @@ def spectrum_of(
     estimation = estimation or EstimationInfo(kind="exact")
     w = _symmetrize(metric.inv_sqrt @ _as_matrix(ez, "expected Z") @ metric.inv_sqrt)
     u, lam_raw = sym_eigendecomposition(w, sym_tol=1e-8)
-    slack = 1e-8 if estimation.kind == "exact" else 1e-8 + 3.0 * (estimation.se_norm or 0.0)
+    slack = estimation.eigenvalue_slack
     if lam_raw[0] > 1.0 + slack or lam_raw[-1] < -slack:
         raise ValueError(
             f"eigenvalues of W must lie in [0, 1], got range "
@@ -360,7 +371,7 @@ class Reformulation:
         self.expected_Z = _readonly(np.array(ez))
         self.estimation = estimation
         self.spectrum = spectrum
-        self.x_star = _readonly(np.array(problem.min_norm_solution))
+        self.x_star = problem.min_norm_solution
         self._expected_H = None
 
     def f_value(self, x) -> float:
@@ -372,13 +383,13 @@ class Reformulation:
         return self.problem.metric.inv @ (self.expected_Z @ e)
 
     def expected_H(self) -> np.ndarray | None:
-        """E[H] from the enumerated support; None without finite support.
+        """E[H] over the support E[Z] was summed over; None for a Monte Carlo E[Z].
 
         Each atom adds its q-by-q block p G^+ at rows and columns
         ``cols``; no per-atom m-by-m H is formed.
         """
         if self._expected_H is None:
-            support = self.dist.support()
+            support = self.estimation.support
             if support is None:
                 return None
             eh = np.zeros((self.problem.m, self.problem.m))

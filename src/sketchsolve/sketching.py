@@ -375,12 +375,6 @@ class Coordinate(SketchDistribution):
         cum = np.cumsum(p)
         cum[-1] = 1.0
         self._cum = cum
-        self._atoms: dict[int, SketchSample] = {}
-
-    def _atom(self, i: int) -> SketchSample:
-        if i not in self._atoms:
-            self._atoms[i] = SketchSample(cols=(i,), m=self.m)
-        return self._atoms[i]
 
     def indices(self, uniforms: np.ndarray) -> np.ndarray:
         """The row index of each uniform in [0, 1), by inverse transform; same shape."""
@@ -396,7 +390,7 @@ class Coordinate(SketchDistribution):
         return self.indices(rng.random(count))
 
     def sample(self, rng):
-        return self._atom(int(self.indices(rng.random())))
+        return SketchSample(cols=(int(self.indices(rng.random())),), m=self.m)
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
         rows = np.flatnonzero(self.probabilities > 0.0)

@@ -42,7 +42,6 @@ which other replications run beside it, nor on how its draws are chunked.
 
 from __future__ import annotations
 
-import time
 import weakref
 from dataclasses import dataclass
 
@@ -140,13 +139,8 @@ class IterationTrace:
     step_sq: np.ndarray | None = None
     iterates: np.ndarray | None = None
     seed_key: tuple | None = None
-    elapsed: float = 0.0
     converged: bool | None = None
     diverged_at: int | None = None
-
-    @property
-    def final_error(self) -> float:
-        return float(np.sqrt(max(self.error_sq[-1], 0.0)))
 
 
 class Workspace:
@@ -168,7 +162,7 @@ class Workspace:
         # the one-row step reads b and the grams as floats
         self._b_list, self._gram_list = self.b.tolist(), self._step_gram.tolist()
         # e @ I is e exactly, so B = I skips that product
-        self._metric = None if np.array_equal(problem.metric.mat, np.eye(problem.n)) else problem.metric.mat
+        self._metric = None if problem.metric.is_identity else problem.metric.mat
 
     def norms_sq(self, e: np.ndarray) -> np.ndarray:
         """||e_k||_B^2 of every row of a (c, n) block, or of every (k, r) of a (c, R, n) stack.
@@ -414,7 +408,6 @@ def run_trajectories(
     per iteration. A divergent run is not an error: its errors overflow
     to non-finite values and ``diverged_at`` records where.
     """
-    t0 = time.perf_counter()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     ws = workspace(problem)
@@ -486,7 +479,6 @@ def run_trajectories(
     if steps is None:
         steps = k
 
-    elapsed = time.perf_counter() - t0
     # the records, transposed once to one row per replication
     error_sq = np.ascontiguousarray(error_sq.reshape(k_max + 1, n_reps)[: steps + 1].T)
     if sketch_loss is not None:
@@ -515,7 +507,6 @@ def run_trajectories(
             step_sq=None if step_sq is None else step_sq[r],
             iterates=None if iterates is None else iterates[r, : steps + 1],
             seed_key=key + ((rep,) if method == "parallel" else (rep, 0)),
-            elapsed=elapsed,
             converged=converged[r],
             diverged_at=diverged_at[r],
         )

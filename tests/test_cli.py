@@ -11,6 +11,7 @@ import pytest
 from sketchsolve.analysis import theoretical_rates
 from sketchsolve.cli import _trace_text, main
 from sketchsolve.config import ConfigError, build_distribution, build_problem, load_config
+from sketchsolve.linalg import InconsistentSystemError
 from sketchsolve.reformulation import build_reformulation
 from sketchsolve.solvers import IterationTrace
 
@@ -92,6 +93,26 @@ class TestConfig:
         problem, planted = build_problem(cfg)
         assert planted is None
         assert np.allclose(problem.A, np.diag([1.0, 2.0]))
+
+    def test_problem_rejected_by_problem_is_config_error(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, problem={"kind": "gaussian-consistent", "rows": 0, "cols": 3}))
+        with pytest.raises(ConfigError) as err:
+            build_problem(cfg)
+        assert err.value.path == "problem"
+        assert "must be non-empty" in str(err.value)
+
+    def test_inconsistent_system_stays_its_own_error(self, tmp_path):
+        mtx = tmp_path / "a.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 1 1.0\n")
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1.0\n2.0\n")
+        cfg = load_config(
+            write_config(tmp_path, problem={"kind": "files", "matrix": str(mtx), "rhs": str(rhs)})
+        )
+        with pytest.raises(InconsistentSystemError) as err:
+            build_problem(cfg)
+        assert type(err.value) is InconsistentSystemError
+        assert str(err.value).startswith("system is inconsistent: best-approximation residual ")
 
 
 class TestCliCommands:
@@ -330,6 +351,32 @@ class TestCliCommands:
         )
         assert main(["run", str(path)]) == 2
         assert "inconsistent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            # all-zero A and b: consistent, but E[Z] = 0 and W has no positive eigenvalue
+            ({"kind": "files", "matrix": "zero.mtx", "rhs": "zero.txt"}, "all eigenvalues of W are numerically zero"),
+            ({"kind": "gaussian-consistent", "rows": 0, "cols": 3}, "problem: A must be non-empty"),
+        ],
+    )
+    def test_degenerate_input_exits_two(self, tmp_path, problem, message):
+        (tmp_path / "zero.mtx").write_text("%%MatrixMarket matrix array real general\n2 2\n0\n0\n0\n0\n")
+        (tmp_path / "zero.txt").write_text("0\n0\n")
+        problem = {k: str(tmp_path / v) if k in ("matrix", "rhs") else v for k, v in problem.items()}
+        path = write_config(
+            tmp_path, problem=problem, distribution={"kind": "coordinate", "probabilities": [0.5, 0.5]}
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "diagnose", str(path), "--output-dir", str(tmp_path / "o")],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o" / "diagnostics.json").exists()
 
     def test_entry_point_runs_as_module(self, tmp_path):
         cfg = write_config(tmp_path, replications=5, iterations=5)
