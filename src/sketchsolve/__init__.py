@@ -28,12 +28,10 @@ from .linalg import (
     InconsistentSystemError,
     Problem,
     SpdMatrix,
-    b_norm,
     b_pseudoinverse,
     check_consistency,
     project_affine,
     pseudoinverse,
-    quad_form,
     sym_eigendecomposition,
 )
 from .mmio import ParseError, load_matrix_market, load_vector

@@ -66,11 +66,7 @@ class MomentEstimates:
     cesaro_error_se: np.ndarray
     cesaro_f: np.ndarray | None
     cesaro_f_se: np.ndarray | None
-    anchor: np.ndarray
     initial_transformed: np.ndarray | None  # U'B^{1/2}(x_0 - x*)
-    method: str
-    omega: float
-    tau: int
 
     def jensen_gap(self) -> float:
         """max_k of ||E e_k||_B^2 - E||e_k||_B^2 - 3 SE (should be <= 0)."""
@@ -132,8 +128,7 @@ def monte_carlo_moments(
         raise ValueError("need at least 2 replications")
     cfg = replace(config, max_iters=int(iterations), record=("error_sq", "iterates"), tol=None)
     traces = run_trajectories(problem, dist, cfg, method, range(replications), x0=x0, x1=x1)
-    anchor = traces[0].anchor
-    errors = np.stack([t.iterates for t in traces]) - anchor  # (R, K+1, n)
+    errors = np.stack([t.iterates for t in traces]) - traces[0].anchor  # (R, K+1, n)
     metric = problem.metric
 
     # e @ I is e exactly, so B = I skips that product
@@ -175,11 +170,7 @@ def monte_carlo_moments(
         cesaro_error_se=cesaro_error_se,
         cesaro_f=cesaro_f,
         cesaro_f_se=cesaro_f_se,
-        anchor=anchor,
         initial_transformed=initial_transformed,
-        method=method,
-        omega=config.omega,
-        tau=config.tau if method == "parallel" else 1,
     )
 
 
@@ -333,9 +324,6 @@ class RecurrenceSolution:
             * self.modulus**k
             * (self.c0 * math.cos(self.angle * k) + self.c1 * math.sin(self.angle * k))
         )
-
-    def envelope(self, k: int) -> float:
-        return float(2.0 * self.modulus**k * (abs(self.c0) + abs(self.c1)))
 
 
 def _closed_form(e_coef: float, f_coef: float, xi0: float, xi1: float) -> RecurrenceSolution:

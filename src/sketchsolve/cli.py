@@ -32,7 +32,7 @@ from .analysis import fit_rate, theoretical_rates
 from .config import ConfigError, ExperimentConfig, build_distribution, build_problem, load_config
 from .linalg import InconsistentSystemError
 from .mmio import ParseError
-from .reformulation import DegenerateSpectrumError, build_reformulation
+from .reformulation import DegenerateSpectrumError, TooFewSamplesError, build_reformulation
 # run_basic, run_parallel and run_accelerated stay importable from here and
 # from analysis because bench/tracing.py wraps them where it looks them up
 from .solvers import (  # noqa: F401
@@ -186,13 +186,14 @@ def _setup(cfg: ExperimentConfig, out_dir: Path):
     """Problem, distribution and reformulation of a config; writes diagnostics.json."""
     problem, _ = build_problem(cfg)
     dist = build_distribution(cfg, problem)
-    if cfg.expectation_samples < 2 and dist.support(cfg.support_cap) is None:
+    try:
+        reform = build_reformulation(
+            problem, dist, seed=cfg.seed, n_samples=cfg.expectation_samples, support_cap=cfg.support_cap
+        )
+    except TooFewSamplesError:
         raise ConfigError(
             "<root>.expectation_samples", "must be at least 2 for a Monte Carlo estimate of E[Z]"
-        )
-    reform = build_reformulation(
-        problem, dist, seed=cfg.seed, n_samples=cfg.expectation_samples, support_cap=cfg.support_cap
-    )
+        ) from None
     _write_json(out_dir / "diagnostics.json", reform.diagnostics())
     return problem, dist, reform
 

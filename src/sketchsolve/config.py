@@ -14,6 +14,7 @@ from .linalg import InconsistentSystemError, Problem, SpdMatrix
 from .mmio import ParseError, load_matrix_market, load_vector
 from .problems import ProblemSpec, generate_problem
 from .sketching import (
+    DEFAULT_SUPPORT_CAP,
     Block,
     Coordinate,
     CountMin,
@@ -74,10 +75,10 @@ class ExperimentConfig:
     metric: dict
     distribution: dict
     solvers: list[dict]
-    replications: int = 200
-    iterations: int = 25
-    expectation_samples: int = 10_000
-    support_cap: int = 100_000
+    replications: int
+    iterations: int
+    expectation_samples: int
+    support_cap: int
     checks: list[str] | None = None
     output_dir: str | None = None
 
@@ -142,7 +143,7 @@ def load_config(path) -> ExperimentConfig:
         expectation_samples=int(
             _get(raw, "expectation_samples", "<root>", int, required=False, default=10_000)
         ),
-        support_cap=int(_get(raw, "support_cap", "<root>", int, required=False, default=100_000)),
+        support_cap=int(_get(raw, "support_cap", "<root>", int, required=False, default=DEFAULT_SUPPORT_CAP)),
         checks=checks,
         output_dir=_get(raw, "output_dir", "<root>", str, required=False),
     )

@@ -1,7 +1,7 @@
 """Dense linear-algebra substrate.
 
 Pseudoinverses, symmetric eigendecompositions, B-weighted geometry
-(inner products, norms, matrix square roots) and affine projections.
+(norms, matrix square roots) and affine projections.
 Everything here is dense and aimed at desk-scale systems (dimensions
 up to a few thousand); all returned arrays are read-only so instances
 can be shared freely across threads.
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
+# a consistent system leaves a least-norm residual of at most this times 1 + ||b||
+_CONSISTENCY_TOL = 1e-10
+
 __all__ = [
     "InconsistentSystemError",
     "pseudoinverse",
     "sym_eigendecomposition",
     "SpdMatrix",
-    "quad_form",
-    "b_norm",
     "b_pseudoinverse",
     "AffineSystem",
     "check_consistency",
@@ -149,14 +150,14 @@ class SpdMatrix:
     once whether it is exactly I, where products with it can be skipped.
     """
 
-    def __init__(self, mat, sym_tol: float = 1e-12):
+    def __init__(self, mat):
         a = _as_matrix(mat, "spd matrix")
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"spd matrix must be square, got shape {a.shape}")
         scale = float(np.abs(a).max())
         if scale == 0.0:
             raise ValueError("spd matrix is zero")
-        if float(np.abs(a - a.T).max()) > sym_tol * scale:
+        if float(np.abs(a - a.T).max()) > 1e-12 * scale:
             raise ValueError("spd matrix is not symmetric within tolerance")
         a = _symmetrize(a)
         lam, u = np.linalg.eigh(a)
@@ -191,11 +192,6 @@ class SpdMatrix:
         v = _as_vector(values, name="diagonal")
         return cls(np.diag(v))
 
-    def inner(self, x, y) -> float:
-        x = _as_vector(x, self.dim)
-        y = _as_vector(y, self.dim)
-        return float(x @ self.mat @ y)
-
     def norm_sq(self, x) -> float:
         x = _as_vector(x, self.dim)
         return float(x @ self.mat @ x)
@@ -205,22 +201,6 @@ class SpdMatrix:
 
     def __repr__(self):
         return f"SpdMatrix(dim={self.dim})"
-
-
-def quad_form(mat, x) -> float:
-    """Evaluate the quadratic form x' M x for positive semidefinite M.
-
-    For merely semidefinite M the square root of this quantity is only a
-    pseudonorm, so it is exposed as a raw quadratic form instead.
-    """
-    a = _as_matrix(mat)
-    v = _as_vector(x, a.shape[1])
-    return float(v @ a @ v)
-
-
-def b_norm(x, metric: SpdMatrix) -> float:
-    """Weighted norm sqrt(x' B x) for the SPD weighting matrix B."""
-    return metric.norm(x)
 
 
 def b_pseudoinverse(mat, metric: SpdMatrix) -> np.ndarray:
@@ -268,30 +248,31 @@ class AffineSystem:
         return f"AffineSystem(m={self.m}, n={self.n})"
 
 
-def check_consistency(system: AffineSystem, metric: SpdMatrix, tol: float = 1e-10) -> bool:
+def check_consistency(system: AffineSystem, metric: SpdMatrix) -> bool:
     """True when the least-norm candidate solves the system.
 
-    Tests whether ``A (A^+_B b) = b`` up to ``tol * (1 + ||b||)``, where
+    Tests whether ``A (A^+_B b) = b`` up to ``1e-10 (1 + ||b||)``, where
     ``A^+_B b`` is the minimum-B-norm least-squares point.
     """
     x_min = b_pseudoinverse(system.A, metric) @ system.b
     residual = float(np.linalg.norm(system.A @ x_min - system.b))
-    return residual <= tol * (1.0 + float(np.linalg.norm(system.b)))
+    return residual <= _CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(system.b)))
 
 
-def project_affine(x, system: AffineSystem, metric: SpdMatrix, tol: float = 1e-10) -> np.ndarray:
+def project_affine(x, system: AffineSystem, metric: SpdMatrix) -> np.ndarray:
     """Project x onto {x : Ax = b} in the B-norm.
 
     Returns ``x - A^+_B (Ax - b)``, the unique B-norm minimizer over the
     solution set. Raises :class:`InconsistentSystemError` when the system
-    has no solution at tolerance ``tol``.
+    has no solution, at the tolerance of :func:`check_consistency`.
     """
     v = _as_vector(x, system.n)
     dagger = b_pseudoinverse(system.A, metric)
     out = v - dagger @ (system.A @ v - system.b)
     residual = system.residual(out)
-    if residual > tol * (1.0 + float(np.linalg.norm(system.b))):
-        raise InconsistentSystemError(residual, tol * (1.0 + float(np.linalg.norm(system.b))))
+    bound = _CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(system.b)))
+    if residual > bound:
+        raise InconsistentSystemError(residual, bound)
     return out
 
 
@@ -308,7 +289,7 @@ class Problem:
     instead of factoring A again.
     """
 
-    def __init__(self, mat, rhs, metric: SpdMatrix | None = None, consistency_tol: float = 1e-10):
+    def __init__(self, mat, rhs, metric: SpdMatrix | None = None):
         self.system = AffineSystem(mat, rhs)
         self.A = self.system.A
         self.b = self.system.b
@@ -325,9 +306,9 @@ class Problem:
         self.right_singular_vectors = _readonly(vt)
         x_min = self._dagger @ self.b
         self.consistency_residual = float(np.linalg.norm(self.A @ x_min - self.b))
-        self._consistency_bound = consistency_tol * (1.0 + float(np.linalg.norm(self.b)))
-        if self.consistency_residual > self._consistency_bound:
-            raise InconsistentSystemError(self.consistency_residual, self._consistency_bound)
+        bound = _CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(self.b)))
+        if self.consistency_residual > bound:
+            raise InconsistentSystemError(self.consistency_residual, bound)
         self.min_norm_solution = _readonly(x_min)
 
     def project(self, x) -> np.ndarray:

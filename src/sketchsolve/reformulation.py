@@ -48,6 +48,7 @@ from .sketching import DEFAULT_SUPPORT_CAP, SketchDistribution, SketchSample, Su
 
 __all__ = [
     "DegenerateSpectrumError",
+    "TooFewSamplesError",
     "SketchedSystem",
     "sketched_system",
     "stochastic_value",
@@ -72,6 +73,10 @@ _CHUNK_BYTES = 1 << 24
 
 class DegenerateSpectrumError(ValueError):
     """All eigenvalues of W are numerically zero (the matrix sees nothing)."""
+
+
+class TooFewSamplesError(ValueError):
+    """A Monte Carlo E[Z] was asked for with fewer than two samples."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +218,6 @@ def expected_Z(
     dist: SketchDistribution,
     *,
     n_samples: int = 10_000,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ):
@@ -221,9 +225,10 @@ def expected_Z(
 
     Uses the enumerated support (exact weighted sum over its stacked
     atoms) when available, otherwise a Monte Carlo mean of ``n_samples``
-    draws with a reported standard error. Only Z is computed per atom or
-    draw, never H. The result is symmetrized either way. The support,
-    enumerated at ``support_cap``, rides on an exact estimate's info.
+    draws from the stream (seed, EXPECTATION_STREAM) with a reported
+    standard error. Only Z is computed per atom or draw, never H. The
+    result is symmetrized either way. The support, enumerated at
+    ``support_cap``, rides on an exact estimate's info.
 
     Returns
     -------
@@ -238,9 +243,8 @@ def expected_Z(
             ez += _weighted_z_sum(rows, gram_pinv, probs)
         return _symmetrize(ez), EstimationInfo(kind="exact", support=support)
     if n_samples < 2:
-        raise ValueError("Monte Carlo estimation needs at least 2 samples")
-    if rng is None:
-        rng = stream(seed, EXPECTATION_STREAM)
+        raise TooFewSamplesError("Monte Carlo estimation needs at least 2 samples")
+    rng = stream(seed, EXPECTATION_STREAM)
     mean = np.zeros((n, n))
     m2 = np.zeros_like(mean)
     one = np.ones(1)
@@ -293,25 +297,20 @@ def rho_basic(spectrum: Spectrum, omega: float) -> float:
     return max(lo, hi)
 
 
-def _positive_floor(lam_raw: np.ndarray, rank_rel_threshold: float = 1e-10):
+def _positive_floor(lam_raw: np.ndarray):
     """(rank threshold, lambda_min_plus) of descending eigenvalues, or of each row of a stack.
 
-    The threshold is ``rank_rel_threshold * max(lambda_0, 0)``;
+    The threshold is ``1e-10 * max(lambda_0, 0)``;
     lambda_min_plus is the smallest eigenvalue above it, clamped to
     [0, 1], and infinite where no eigenvalue is above it.
     """
-    threshold = rank_rel_threshold * np.maximum(lam_raw[..., 0], 0.0)
+    threshold = 1e-10 * np.maximum(lam_raw[..., 0], 0.0)
     # an eigenvalue above the (nonnegative) threshold needs clamping only at 1
     positive = np.where(lam_raw > threshold[..., None], np.minimum(lam_raw, 1.0), np.inf)
     return threshold, positive.min(axis=-1)
 
 
-def spectrum_of(
-    ez,
-    metric: SpdMatrix,
-    estimation: EstimationInfo | None = None,
-    rank_rel_threshold: float = 1e-10,
-) -> Spectrum:
+def spectrum_of(ez, metric: SpdMatrix, estimation: EstimationInfo | None = None) -> Spectrum:
     """Eigendecomposition of W with the condition number of the setup.
 
     Raises :class:`DegenerateSpectrumError` when every eigenvalue falls
@@ -328,7 +327,7 @@ def spectrum_of(
         )
     lam = np.clip(lam_raw, 0.0, 1.0)
     lambda_max = float(lam[0])
-    threshold, lambda_min_plus = _positive_floor(lam_raw, rank_rel_threshold)
+    threshold, lambda_min_plus = _positive_floor(lam_raw)
     if lambda_max <= 0.0 or lambda_min_plus == np.inf:
         raise DegenerateSpectrumError("all eigenvalues of W are numerically zero")
     lambda_min_plus = float(lambda_min_plus)
@@ -400,8 +399,8 @@ class Reformulation:
             self._expected_H = _readonly(_symmetrize(eh))
         return self._expected_H
 
-    def exactness(self, tol: float = 1e-8) -> str:
-        return check_exactness(self, tol=tol)
+    def exactness(self) -> str:
+        return check_exactness(self)
 
     def diagnostics(self) -> dict:
         spec = self.spectrum
@@ -422,7 +421,6 @@ def build_reformulation(
     seed: int = 0,
     n_samples: int = 10_000,
     support_cap: int = DEFAULT_SUPPORT_CAP,
-    rank_rel_threshold: float = 1e-10,
 ) -> Reformulation:
     """Estimate E[Z], decompose W, and bundle the diagnostics."""
     if dist.m != problem.m:
@@ -435,11 +433,11 @@ def build_reformulation(
         seed=seed,
         support_cap=support_cap,
     )
-    spec = spectrum_of(ez, problem.metric, info, rank_rel_threshold=rank_rel_threshold)
+    spec = spectrum_of(ez, problem.metric, info)
     return Reformulation(problem, dist, ez, info, spec)
 
 
-def check_exactness(reform: Reformulation, tol: float = 1e-8) -> str:
+def check_exactness(reform: Reformulation) -> str:
     """Decide whether minimizing f recovers exactly the solutions of Ax = b.
 
     The criterion is null(E[Z]) = null(A). Substituting x = B^{-1/2} y,
@@ -448,7 +446,7 @@ def check_exactness(reform: Reformulation, tol: float = 1e-8) -> str:
     the eigendecomposition of W from its spectrum, and the singular
     values S and right singular vectors V' of the thin SVD
     A B^{-1/2} = U S V' kept by its problem. Three tests, in order, each
-    relative to ``tol``:
+    relative to ``tol = 1e-8``:
 
     1. the ranks agree: eigenvalues of W above ``tol * lambda_max``
        against singular values above ``tol * sigma_max``;
@@ -466,6 +464,7 @@ def check_exactness(reform: Reformulation, tol: float = 1e-8) -> str:
     """
     if reform.estimation.kind != "exact":
         return "undecidable"
+    tol = 1e-8
     problem, spectrum = reform.problem, reform.spectrum
     sv, vt = problem.singular_values, problem.right_singular_vectors
     lam, w = spectrum.lambdas_raw, spectrum.W

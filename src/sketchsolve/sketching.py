@@ -227,11 +227,11 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
 class SketchSample:
     """One drawn sketching matrix S with m rows and q columns.
 
-    Either a dense ``matrix`` (Gaussian draws) or an index set: column
-    ``j`` of S is ``signs[j] * e_{cols[j]}`` (signs default to +1), and
-    ``m`` gives the row count. The dense matrix of an index set is built
-    on first access. A dense matrix may also carry ``cols``/``signs`` as
-    a label. ``key`` is a canonical hashable label used to match
+    Either a dense ``matrix`` (Gaussian draws) or an index set, never
+    both: column ``j`` of S is ``signs[j] * e_{cols[j]}`` (signs default
+    to +1), and ``m`` gives the row count. The dense matrix of an index
+    set is built on first access; a matrix with ``cols`` or ``signs`` is
+    an error. ``key`` is a canonical hashable label used to match
     empirical frequencies against an enumerated support. Column order
     and signs do not affect the induced operators, so keys are sorted.
     """
@@ -246,8 +246,10 @@ class SketchSample:
         self.__post_init__()
 
     def __post_init__(self):
-        """Freeze a given matrix; an index set must know its row count."""
+        """Freeze a given matrix, which takes no index set; an index set must know its row count."""
         if self._matrix is not None:
+            if self.cols is not None or self.signs is not None:
+                raise ValueError("a sketch is a matrix or an index set, not both")
             self._matrix.flags.writeable = False
         elif self.cols is None or self.m is None:
             raise ValueError("a sketch needs a matrix, or column indices and a row count m")
@@ -326,9 +328,10 @@ def _multisets(alphabet_size: int, q: int, cap: int):
 
 
 class SketchDistribution:
-    """Base class: a distribution over sketching matrices with m rows."""
+    """Base class: a distribution over sketching matrices with m rows and q columns."""
 
     m: int
+    q: int
 
     def sample(self, rng: np.random.Generator) -> SketchSample:
         raise NotImplementedError
@@ -347,7 +350,7 @@ class FixedIdentity(SketchDistribution):
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("m must be positive")
-        self.m = int(m)
+        self.m = self.q = int(m)
         self._atom = SketchSample(cols=range(self.m), m=self.m)
 
     def sample(self, rng):
@@ -369,7 +372,7 @@ class Coordinate(SketchDistribution):
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
-        self.m = int(p.size)
+        self.m, self.q = int(p.size), 1
         self.probabilities = p.copy()
         self.probabilities.flags.writeable = False
         cum = np.cumsum(p)

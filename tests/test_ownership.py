@@ -1,11 +1,13 @@
 """Each quantity several modules use is computed once, by one owner.
 
 The enumerated support belongs to ``expected_Z`` (kept on the exact
-estimate's info), the B = I decision to ``SpdMatrix.is_identity``, and
-the per-replication ||x_k - x*||_B^2 to the trajectory engine's
+estimate's info; nothing asks for it again, and q comes from the
+distribution), the B = I decision to ``SpdMatrix.is_identity``, and the
+per-replication ||x_k - x*||_B^2 to the trajectory engine's
 ``error_sq``.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +36,43 @@ def counting_support(dist, calls: list):
     return dist
 
 
-@pytest.mark.parametrize("command", ["diagnose", "run", "validate"])
-def test_each_command_enumerates_the_configured_support_once(tmp_path, monkeypatch, command):
+def support_calls(tmp_path, monkeypatch, command, config: dict) -> list:
+    """The ``support`` calls of one successful command on ``config``."""
     calls = []
     build = cli.build_distribution
     monkeypatch.setattr(
         cli, "build_distribution", lambda cfg, problem: counting_support(build(cfg, problem), calls)
     )
-    assert cli.main([command, str(REFERENCE), "--output-dir", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    return calls
+
+
+@pytest.mark.parametrize("command", ["diagnose", "run", "validate"])
+def test_each_command_enumerates_the_configured_support_once(tmp_path, monkeypatch, command):
+    config = json.loads(REFERENCE.read_text())
+    assert len(support_calls(tmp_path, monkeypatch, command, config)) == 1
+
+
+def test_one_expectation_sample_enumerates_once(tmp_path, monkeypatch):
+    # E[Z] is exact here, so the one sample goes unused and nothing asks again
+    config = dict(json.loads(REFERENCE.read_text()), expectation_samples=1)
+    assert len(support_calls(tmp_path, monkeypatch, "run", config)) == 1
+
+
+def test_monte_carlo_trace_test_asks_no_support(tmp_path, monkeypatch, capsys):
+    # Block q = 3 over 80 rows has 82,160 atoms: above the cap, below the default one
+    config = {
+        "seed": 1,
+        "problem": {"kind": "gaussian-consistent", "rows": 80, "cols": 5, "seed": 2},
+        "distribution": {"kind": "block", "block_size": 3},
+        "support_cap": 1000,
+        "expectation_samples": 200,
+        "checks": ["lemma:spectrum-in-unit-interval"],
+    }
+    assert support_calls(tmp_path, monkeypatch, "validate", config) == [(1000,)]
+    assert capsys.readouterr().out.startswith("PASS lemma:spectrum-in-unit-interval")
 
 
 class RaisedCapOnly(Coordinate):

@@ -27,9 +27,7 @@ from sketchsolve.sketching import (
 
 
 def column(m, i):
-    s = np.zeros((m, 1))
-    s[i, 0] = 1.0
-    return SketchSample(s, cols=(i,))
+    return SketchSample(cols=(i,), m=m)
 
 
 def random_problem(rng, m=None, n=None, weighted=True):

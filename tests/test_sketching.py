@@ -372,6 +372,12 @@ class TestIndexSetSamples:
         with pytest.raises(ValueError):
             SketchSample(cols=(0, 1))
 
+    @pytest.mark.parametrize("label", [{"cols": (0,)}, {"signs": (1,)}, {"cols": (0,), "signs": (-1,)}])
+    def test_matrix_with_index_set_rejected(self, label):
+        # S = [1, 1]' labelled cols=(0,) stepped as e_0 but projected as S
+        with pytest.raises(ValueError, match="not both"):
+            SketchSample(np.ones((2, 1)), **label)
+
 
 class TestKaczmarzDistribution:
     def test_identity_rows(self):

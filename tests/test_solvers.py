@@ -33,9 +33,7 @@ from sketchsolve.solvers import (
 
 
 def column(m, i):
-    s = np.zeros((m, 1))
-    s[i, 0] = 1.0
-    return SketchSample(s, cols=(i,))
+    return SketchSample(cols=(i,), m=m)
 
 
 def reference_problem():
