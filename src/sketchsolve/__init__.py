@@ -24,23 +24,18 @@ from .analysis import (
     xi_factor,
 )
 from .linalg import (
-    AffineSystem,
     InconsistentSystemError,
     Problem,
     SpdMatrix,
     b_pseudoinverse,
-    check_consistency,
-    project_affine,
     pseudoinverse,
     sym_eigendecomposition,
 )
 from .mmio import ParseError, load_matrix_market, load_vector
 from .oracles import SmwInstance, psd_sandwich_residual, range_restricted_eigen_bound, smw_inverse
 from .problems import (
-    ProblemSpec,
     diagonal_problem,
     gaussian_consistent,
-    generate_problem,
     gossip_incidence,
     spd_with_matching_metric,
 )

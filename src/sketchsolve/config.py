@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .linalg import InconsistentSystemError, Problem, SpdMatrix
 from .mmio import ParseError, load_matrix_market, load_vector
-from .problems import ProblemSpec, generate_problem
+from .problems import diagonal_problem, gaussian_consistent, gossip_incidence, spd_with_matching_metric
+from .reformulation import DEFAULT_EXPECTATION_SAMPLES
 from .sketching import (
     DEFAULT_SUPPORT_CAP,
     Block,
@@ -24,16 +25,10 @@ from .sketching import (
     SketchDistribution,
     kaczmarz_distribution,
 )
+from .solvers import METHODS
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_problem", "build_distribution"]
 
-PROBLEM_KINDS = {
-    "gaussian-consistent",
-    "diagonal",
-    "spd-with-B-equals-A",
-    "graph-incidence-gossip",
-    "files",
-}
 DISTRIBUTION_KINDS = {
     "fixed-identity",
     "coordinate",
@@ -43,7 +38,6 @@ DISTRIBUTION_KINDS = {
     "count-sketch",
     "count-min",
 }
-SOLVER_METHODS = {"basic", "parallel", "accelerated"}
 
 
 class ConfigError(ValueError):
@@ -60,10 +54,30 @@ def _get(mapping: dict, key: str, path: str, kind=None, required: bool = True, d
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON true or false is a Python bool, which is also an int
+    if kind is not None and (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
     return value
+
+
+# each generated problem kind: its generator, the int fields it needs, and the
+# types of its optional fields (a field left out takes the generator's default)
+_GENERATORS = {
+    "gaussian-consistent": (gaussian_consistent, ("rows", "cols"), {}),
+    "diagonal": (
+        diagonal_problem,
+        (),
+        {"diagonal": list, "size": int, "condition": (int, float), "planted": list},
+    ),
+    "spd-with-B-equals-A": (spd_with_matching_metric, ("size",), {"condition": (int, float)}),
+    "graph-incidence-gossip": (
+        gossip_incidence,
+        ("nodes",),
+        {"topology": str, "extra_edges": int, "edges": list},
+    ),
+}
+PROBLEM_KINDS = {*_GENERATORS, "files"}
 
 
 @dataclass
@@ -94,8 +108,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("<root>", "configuration must be a JSON object")
 
     seed = _get(raw, "seed", "<root>", int)
-    if isinstance(seed, bool):
-        raise ConfigError("<root>.seed", "expected int, got bool")
     problem = _get(raw, "problem", "<root>", dict)
     kind = _get(problem, "kind", "problem", str)
     if kind not in PROBLEM_KINDS:
@@ -118,7 +130,7 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(solver, dict):
             raise ConfigError(f"solvers[{idx}]", "each solver must be an object")
         method = _get(solver, "method", f"solvers[{idx}]", str)
-        if method not in SOLVER_METHODS:
+        if method not in METHODS:
             raise ConfigError(f"solvers[{idx}].method", f"unknown method {method!r}")
 
     replications = _get(raw, "replications", "<root>", int, required=False, default=200)
@@ -141,7 +153,7 @@ def load_config(path) -> ExperimentConfig:
         replications=int(replications),
         iterations=int(iterations),
         expectation_samples=int(
-            _get(raw, "expectation_samples", "<root>", int, required=False, default=10_000)
+            _get(raw, "expectation_samples", "<root>", int, required=False, default=DEFAULT_EXPECTATION_SAMPLES)
         ),
         support_cap=int(_get(raw, "support_cap", "<root>", int, required=False, default=DEFAULT_SUPPORT_CAP)),
         checks=checks,
@@ -163,7 +175,7 @@ def _build_metric(cfg: ExperimentConfig, n: int, generated: SpdMatrix) -> SpdMat
         return SpdMatrix(load_matrix_market(path))
     except (ConfigError, ParseError):
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("metric", str(exc)) from None
 
 
@@ -186,23 +198,15 @@ def build_problem(cfg: ExperimentConfig):
             )
         metric, planted = _build_metric(cfg, a.shape[1], SpdMatrix.identity(a.shape[1])), None
     else:
-        pspec = ProblemSpec(
-            kind=kind,
-            rows=spec.get("rows"),
-            cols=spec.get("cols"),
-            size=spec.get("size"),
-            condition=spec.get("condition"),
-            diagonal=tuple(spec["diagonal"]) if "diagonal" in spec else None,
-            planted=tuple(spec["planted"]) if "planted" in spec else None,
-            nodes=spec.get("nodes"),
-            topology=spec.get("topology", "random"),
-            extra_edges=spec.get("extra_edges", 0),
-            edges=tuple(tuple(e) for e in spec["edges"]) if "edges" in spec else None,
-            seed=spec.get("seed", cfg.seed),
-        )
+        generator, needs, optional = _GENERATORS[kind]
+        args = [_get(spec, key, "problem", int, required=False) for key in needs]
+        kwargs = {key: _get(spec, key, "problem", types) for key, types in optional.items() if key in spec}
+        seed = _get(spec, "seed", "problem", int, required=False, default=cfg.seed)
+        if None in args:
+            raise ConfigError("problem", f"{kind} needs {' and '.join(needs)}")
         try:
-            a, b, generated_metric, planted = generate_problem(pspec)
-        except ValueError as exc:
+            a, b, generated_metric, planted = generator(*args, **kwargs, seed=seed)
+        except (TypeError, ValueError) as exc:
             raise ConfigError("problem", str(exc)) from None
         metric = _build_metric(cfg, a.shape[1], generated_metric)
     try:
@@ -232,7 +236,8 @@ def build_distribution(cfg: ExperimentConfig, problem: Problem) -> SketchDistrib
             return Coordinate([float(p) for p in probs])
         if kind == "block":
             q = _get(spec, "block_size", "distribution", int)
-            return Block(m, q, with_replacement=bool(spec.get("with_replacement", False)))
+            replacement = _get(spec, "with_replacement", "distribution", bool, required=False, default=False)
+            return Block(m, q, with_replacement=replacement)
         columns = _get(spec, "columns", "distribution", int)
         if kind == "gaussian":
             return Gaussian(m, columns)
@@ -241,5 +246,5 @@ def build_distribution(cfg: ExperimentConfig, problem: Problem) -> SketchDistrib
         return CountMin(m, columns)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("distribution", str(exc)) from None

@@ -1,7 +1,8 @@
 """Dense linear-algebra substrate.
 
 Pseudoinverses, symmetric eigendecompositions, B-weighted geometry
-(norms, matrix square roots) and affine projections.
+(norms, matrix square roots) and :class:`Problem`, a system Ax = b that
+certifies its own consistency and projects onto its solution set.
 Everything here is dense and aimed at desk-scale systems (dimensions
 up to a few thousand); all returned arrays are read-only so instances
 can be shared freely across threads.
@@ -30,9 +31,6 @@ __all__ = [
     "sym_eigendecomposition",
     "SpdMatrix",
     "b_pseudoinverse",
-    "AffineSystem",
-    "check_consistency",
-    "project_affine",
     "Problem",
 ]
 
@@ -233,49 +231,6 @@ def _b_pinv_from_svd(factors, metric: SpdMatrix) -> np.ndarray:
     return metric.inv_sqrt @ _pinv_from_svd(u, s, vt, rel_tol)
 
 
-class AffineSystem:
-    """The affine solution set {x : Ax = b} of a linear system."""
-
-    def __init__(self, mat, rhs):
-        self.A = _readonly(_as_matrix(mat, "A"))
-        self.b = _readonly(_as_vector(rhs, self.A.shape[0], "b"))
-        self.m, self.n = self.A.shape
-
-    def residual(self, x) -> float:
-        return float(np.linalg.norm(self.A @ _as_vector(x, self.n) - self.b))
-
-    def __repr__(self):
-        return f"AffineSystem(m={self.m}, n={self.n})"
-
-
-def check_consistency(system: AffineSystem, metric: SpdMatrix) -> bool:
-    """True when the least-norm candidate solves the system.
-
-    Tests whether ``A (A^+_B b) = b`` up to ``1e-10 (1 + ||b||)``, where
-    ``A^+_B b`` is the minimum-B-norm least-squares point.
-    """
-    x_min = b_pseudoinverse(system.A, metric) @ system.b
-    residual = float(np.linalg.norm(system.A @ x_min - system.b))
-    return residual <= _CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(system.b)))
-
-
-def project_affine(x, system: AffineSystem, metric: SpdMatrix) -> np.ndarray:
-    """Project x onto {x : Ax = b} in the B-norm.
-
-    Returns ``x - A^+_B (Ax - b)``, the unique B-norm minimizer over the
-    solution set. Raises :class:`InconsistentSystemError` when the system
-    has no solution, at the tolerance of :func:`check_consistency`.
-    """
-    v = _as_vector(x, system.n)
-    dagger = b_pseudoinverse(system.A, metric)
-    out = v - dagger @ (system.A @ v - system.b)
-    residual = system.residual(out)
-    bound = _CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(system.b)))
-    if residual > bound:
-        raise InconsistentSystemError(residual, bound)
-    return out
-
-
 class Problem:
     """A consistent linear system Ax = b together with an SPD weighting B.
 
@@ -290,10 +245,9 @@ class Problem:
     """
 
     def __init__(self, mat, rhs, metric: SpdMatrix | None = None):
-        self.system = AffineSystem(mat, rhs)
-        self.A = self.system.A
-        self.b = self.system.b
-        self.m, self.n = self.system.m, self.system.n
+        self.A = _readonly(_as_matrix(mat, "A"))
+        self.b = _readonly(_as_vector(rhs, self.A.shape[0], "b"))
+        self.m, self.n = self.A.shape
         self.metric = SpdMatrix.identity(self.n) if metric is None else metric
         if self.metric.dim != self.n:
             raise ValueError(

@@ -7,39 +7,17 @@ construction (the gossip generator uses b = 0 and x_planted = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import SpdMatrix
 from .sketching import stream
 
 __all__ = [
-    "ProblemSpec",
-    "generate_problem",
     "gaussian_consistent",
     "diagonal_problem",
     "spd_with_matching_metric",
     "gossip_incidence",
 ]
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Declarative description of a generated problem."""
-
-    kind: str  # gaussian-consistent | diagonal | spd-with-B-equals-A | graph-incidence-gossip
-    rows: int | None = None
-    cols: int | None = None
-    size: int | None = None
-    condition: float | None = None
-    diagonal: tuple[float, ...] | None = None
-    planted: tuple[float, ...] | None = None
-    nodes: int | None = None
-    topology: str = "random"
-    extra_edges: int = 0
-    edges: tuple[tuple[int, int], ...] | None = None
-    seed: int = 0
 
 
 def gaussian_consistent(rows: int, cols: int, seed: int = 0):
@@ -147,33 +125,3 @@ def gossip_incidence(nodes: int, topology: str = "random", extra_edges: int = 0,
     x = np.zeros(nodes)
     return a, np.zeros(len(edge_list)), SpdMatrix.identity(nodes), x
 
-
-def generate_problem(spec: ProblemSpec):
-    """Dispatch on ``spec.kind``; returns (A, b, metric, x_planted)."""
-    if spec.kind == "gaussian-consistent":
-        if spec.rows is None or spec.cols is None:
-            raise ValueError("gaussian-consistent needs rows and cols")
-        return gaussian_consistent(spec.rows, spec.cols, seed=spec.seed)
-    if spec.kind == "diagonal":
-        return diagonal_problem(
-            diagonal=spec.diagonal,
-            size=spec.size,
-            condition=spec.condition,
-            planted=spec.planted,
-            seed=spec.seed,
-        )
-    if spec.kind == "spd-with-B-equals-A":
-        if spec.size is None:
-            raise ValueError("spd-with-B-equals-A needs size")
-        return spd_with_matching_metric(spec.size, condition=spec.condition or 10.0, seed=spec.seed)
-    if spec.kind == "graph-incidence-gossip":
-        if spec.nodes is None:
-            raise ValueError("graph-incidence-gossip needs nodes")
-        return gossip_incidence(
-            spec.nodes,
-            topology=spec.topology,
-            extra_edges=spec.extra_edges,
-            edges=spec.edges,
-            seed=spec.seed,
-        )
-    raise ValueError(f"unknown problem kind {spec.kind!r}")

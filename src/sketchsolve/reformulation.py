@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 EXPECTATION_STREAM = 101
+# Monte Carlo draws of E[Z] when the support is not enumerable
+DEFAULT_EXPECTATION_SAMPLES = 10_000
 
 # upper bound on the bytes of one chunk of gathered sketch rows (N, q, n)
 # in the stacked expectations; the working set is a few times this
@@ -217,7 +219,7 @@ def expected_Z(
     metric: SpdMatrix,
     dist: SketchDistribution,
     *,
-    n_samples: int = 10_000,
+    n_samples: int = DEFAULT_EXPECTATION_SAMPLES,
     seed: int = 0,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ):
@@ -419,7 +421,7 @@ def build_reformulation(
     dist: SketchDistribution,
     *,
     seed: int = 0,
-    n_samples: int = 10_000,
+    n_samples: int = DEFAULT_EXPECTATION_SAMPLES,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> Reformulation:
     """Estimate E[Z], decompose W, and bundle the diagnostics."""

@@ -26,6 +26,7 @@ from .analysis import (
     iterate_recurrence,
     monte_carlo_moments,
     rho_basic,
+    rho_parallel,
     solve_recurrence,
     theoretical_rates,
     xi_factor,
@@ -55,6 +56,7 @@ from .solvers import (
     pathwise_residuals,
     prox_step,
     run_basic,
+    stepsize_policy,
 )
 
 __all__ = [
@@ -629,7 +631,7 @@ def check_optimal_relaxation(
 ):
     """The contraction factor is minimized at 2/(lambda_min_plus + lambda_max)."""
     spectrum = reform.spectrum
-    omega_star = 2.0 / (spectrum.lambda_min_plus + spectrum.lambda_max)
+    omega_star = stepsize_policy(spectrum, "optimal")
     grid = np.linspace(1e-6, 2.0 / spectrum.lambda_max - 1e-6, 1000)
     values = np.array([rho_basic(spectrum, w) for w in grid])
     best = float(grid[int(np.argmin(values))])
@@ -649,7 +651,7 @@ def check_parallel_rate_bound(
     xi = xi_factor(reform.spectrum, tau)
     omega = 1.0 / xi
     moments = experiments("parallel", omega=omega, tau=tau)
-    rho = 1.0 - omega * (2.0 - omega * xi) * reform.spectrum.lambda_min_plus
+    rho = rho_parallel(reform.spectrum, omega, tau)
     l2 = moments.l2_error
     se = moments.l2_se
     gaps = l2[1:] - rho * l2[:-1] - 3.0 * (se[1:] + rho * se[:-1]) - 1e-12

@@ -10,7 +10,7 @@ import pytest
 
 from sketchsolve.analysis import theoretical_rates
 from sketchsolve.cli import _trace_text, main
-from sketchsolve.config import ConfigError, build_distribution, build_problem, load_config
+from sketchsolve.config import DISTRIBUTION_KINDS, ConfigError, build_distribution, build_problem, load_config
 from sketchsolve.linalg import InconsistentSystemError
 from sketchsolve.reformulation import build_reformulation
 from sketchsolve.solvers import IterationTrace
@@ -60,18 +60,27 @@ class TestConfig:
             load_config(path)
         assert str(err.value).startswith("problem.kind")
 
-    def test_distribution_kinds(self, tmp_path):
-        for dist_cfg, cls_name in [
-            ({"kind": "fixed-identity"}, "FixedIdentity"),
-            ({"kind": "coordinate", "probabilities": [0.5, 0.5]}, "Coordinate"),
-            ({"kind": "block", "block_size": 2}, "Block"),
-            ({"kind": "gaussian", "columns": 1}, "Gaussian"),
-            ({"kind": "count-sketch", "columns": 2}, "CountSketch"),
-            ({"kind": "count-min", "columns": 2}, "CountMin"),
-        ]:
-            cfg = load_config(write_config(tmp_path, distribution=dist_cfg))
-            problem, _ = build_problem(cfg)
-            assert type(build_distribution(cfg, problem)).__name__ == cls_name
+    @pytest.mark.parametrize("kind", sorted(DISTRIBUTION_KINDS))
+    def test_distribution_kinds(self, tmp_path, kind):
+        fields, cls_name = {
+            "fixed-identity": ({}, "FixedIdentity"),
+            "coordinate": ({"probabilities": [0.5, 0.5]}, "Coordinate"),
+            "kaczmarz": ({}, "Coordinate"),
+            "block": ({"block_size": 2}, "Block"),
+            "gaussian": ({"columns": 1}, "Gaussian"),
+            "count-sketch": ({"columns": 2}, "CountSketch"),
+            "count-min": ({"columns": 2}, "CountMin"),
+        }[kind]
+        cfg = load_config(write_config(tmp_path, distribution={"kind": kind, **fields}))
+        problem, _ = build_problem(cfg)
+        assert type(build_distribution(cfg, problem)).__name__ == cls_name
+
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    def test_block_with_replacement_is_read_as_bool(self, tmp_path, with_replacement):
+        distribution = {"kind": "block", "block_size": 2, "with_replacement": with_replacement}
+        cfg = load_config(write_config(tmp_path, distribution=distribution))
+        problem, _ = build_problem(cfg)
+        assert build_distribution(cfg, problem).with_replacement is with_replacement
 
     def test_metric_from_file(self, tmp_path):
         mtx = tmp_path / "metric.mtx"
@@ -245,6 +254,38 @@ class TestCliCommands:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: metric:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"problem": {"kind": "gaussian-consistent", "rows": "ten", "cols": 2}}, "problem.rows"),
+            ({"problem": {"kind": "gaussian-consistent", "rows": True, "cols": 2}}, "problem.rows"),
+            ({"seed": True}, "<root>.seed"),
+            ({"replications": True}, "<root>.replications"),
+            ({"problem": {"kind": "graph-incidence-gossip", "nodes": 2, "edges": 5}}, "problem.edges"),
+            ({"problem": {"kind": "graph-incidence-gossip", "nodes": 2, "edges": [5]}}, "problem"),
+            ({"problem": {"kind": "spd-with-B-equals-A", "size": 3.5}}, "problem.size"),
+            ({"problem": {"kind": "diagonal", "size": 2, "condition": "big"}}, "problem.condition"),
+            ({"problem": {"kind": "diagonal", "diagonal": 5}}, "problem.diagonal"),
+            ({"metric": {"kind": "diagonal", "values": [[1], [2]]}}, "metric"),
+            ({"distribution": {"kind": "coordinate", "probabilities": [[0.5], [0.5]]}}, "distribution"),
+            (
+                {"distribution": {"kind": "block", "block_size": 1, "with_replacement": "false"}},
+                "distribution.with_replacement",
+            ),
+        ],
+    )
+    def test_wrong_typed_fields_exit_two(self, tmp_path, overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "diagnose", str(cfg), "--output-dir", str(tmp_path / "o")],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {field}:")
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(

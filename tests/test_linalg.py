@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from sketchsolve.linalg import (
-    AffineSystem,
     InconsistentSystemError,
     Problem,
     SpdMatrix,
     b_pseudoinverse,
-    check_consistency,
-    project_affine,
     pseudoinverse,
     sym_eigendecomposition,
 )
@@ -192,39 +189,38 @@ class TestBPseudoinverse:
 
 class TestConsistency:
     def test_single_row(self):
-        assert check_consistency(AffineSystem([[1.0, 0.0]], [1.0]), identity_metric(2))
+        assert Problem([[1.0, 0.0]], [1.0]).consistency_residual <= 1e-12
 
     def test_contradictory_rows(self):
-        system = AffineSystem([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
-        assert not check_consistency(system, identity_metric(2))
+        # least-norm point (1.5, 0) leaves residual ||(0.5, -0.5)|| against 1e-10 (1 + ||b||)
+        with pytest.raises(InconsistentSystemError) as err:
+            Problem([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
+        assert err.value.residual == pytest.approx(np.sqrt(0.5))
+        assert err.value.tol == pytest.approx(1e-10 * (1.0 + np.sqrt(5.0)))
 
     def test_dependent_rows_consistent(self):
-        system = AffineSystem([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
-        assert check_consistency(system, identity_metric(2))
+        assert Problem([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0]).consistency_residual <= 1e-12
 
 
 class TestProjection:
     def test_fixed_point(self):
-        system = AffineSystem([[1.0, 1.0]], [2.0])
         x = np.array([1.5, 0.5])
-        assert np.allclose(project_affine(x, system, identity_metric(2)), x)
+        assert np.allclose(Problem([[1.0, 1.0]], [2.0]).project(x), x)
 
     def test_coordinate(self):
-        system = AffineSystem([[1.0, 0.0]], [1.0])
-        out = project_affine(np.zeros(2), system, identity_metric(2))
+        out = Problem([[1.0, 0.0]], [1.0]).project(np.zeros(2))
         assert np.allclose(out, [1.0, 0.0])
 
     def test_weighted_lagrange_oracle(self):
         # minimize x'Bx subject to x1 + x2 = 2 with B = diag(1, 4):
         # stationarity gives x = (1.6, 0.4)
-        system = AffineSystem([[1.0, 1.0]], [2.0])
-        out = project_affine(np.zeros(2), system, SpdMatrix.from_diagonal([1.0, 4.0]))
-        assert np.allclose(out, [1.6, 0.4], atol=1e-12)
+        problem = Problem([[1.0, 1.0]], [2.0], SpdMatrix.from_diagonal([1.0, 4.0]))
+        assert np.allclose(problem.project(np.zeros(2)), [1.6, 0.4], atol=1e-12)
 
     def test_inconsistent_raises(self):
-        system = AffineSystem([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
+        # an inconsistent system has no solution set to project onto: Problem refuses it
         with pytest.raises(InconsistentSystemError):
-            project_affine(np.zeros(2), system, identity_metric(2))
+            Problem([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0], SpdMatrix.from_diagonal([1.0, 4.0]))
 
     def test_idempotent_and_minimal(self):
         rng = stream(16, 0)
@@ -232,14 +228,14 @@ class TestProjection:
             m, n = int(rng.integers(1, 5)), int(rng.integers(2, 6))
             a = rng.standard_normal((m, n))
             x_pl = rng.standard_normal(n)
-            system = AffineSystem(a, a @ x_pl)
             g = rng.standard_normal((n, n))
             metric = SpdMatrix(g @ g.T + 2 * np.eye(n))
+            problem = Problem(a, a @ x_pl, metric)
             x = rng.standard_normal(n)
-            p = project_affine(x, system, metric)
-            p2 = project_affine(p, system, metric)
+            p = problem.project(x)
+            p2 = problem.project(p)
             assert np.abs(p - p2).max() <= 1e-9
-            assert np.linalg.norm(a @ p - system.b) <= 1e-9 * (1 + np.linalg.norm(system.b))
+            assert np.linalg.norm(a @ p - problem.b) <= 1e-9 * (1 + np.linalg.norm(problem.b))
             # B-minimality against other members of the solution set
             _, _, vt = np.linalg.svd(a)
             rank = np.linalg.matrix_rank(a)
@@ -261,13 +257,18 @@ class TestProblem:
         with pytest.raises(InconsistentSystemError):
             Problem([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
 
-    def test_project_matches_function(self):
+    def test_project_matches_weighted_normal_equations(self):
+        # x - B^-1 A' (A B^-1 A')^+ (Ax - b), with numpy's pseudoinverse of the core
         rng = stream(17, 0)
         a = rng.standard_normal((2, 4))
         x_pl = rng.standard_normal(4)
-        p = Problem(a, a @ x_pl)
-        x = rng.standard_normal(4)
-        assert np.allclose(p.project(x), project_affine(x, p.system, p.metric))
+        g = rng.standard_normal((4, 4))
+        for metric in (None, SpdMatrix(g @ g.T + np.eye(4))):
+            p = Problem(a, a @ x_pl, metric)
+            x = rng.standard_normal(4)
+            b_inv = p.metric.inv
+            expected = x - b_inv @ a.T @ np.linalg.pinv(a @ b_inv @ a.T) @ (a @ x - p.b)
+            assert np.allclose(p.project(x), expected)
 
     @pytest.mark.parametrize("shape", [(6, 4), (3, 5)])
     def test_keeps_read_only_factors_of_weighted_matrix(self, shape):

@@ -1,12 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from sketchsolve.linalg import Problem, check_consistency
+from sketchsolve.config import PROBLEM_KINDS, build_problem, load_config
+from sketchsolve.linalg import Problem
 from sketchsolve.problems import (
-    ProblemSpec,
     diagonal_problem,
     gaussian_consistent,
-    generate_problem,
     gossip_incidence,
     spd_with_matching_metric,
 )
@@ -35,7 +36,7 @@ class TestGaussian:
     def test_consistent_by_construction(self):
         a, b, metric, x = gaussian_consistent(50, 20, seed=5)
         problem = Problem(a, b, metric)
-        assert check_consistency(problem.system, metric)
+        assert problem.consistency_residual <= 1e-10 * (1 + np.linalg.norm(b))
         assert np.linalg.norm(a @ x - b) <= 1e-9 * (1 + np.linalg.norm(b))
 
 
@@ -82,17 +83,45 @@ class TestGossip:
         assert trace.error_sq[-1] <= 1e-6 * trace.error_sq[0]
 
 
-class TestGenerateProblem:
-    def test_dispatch(self):
-        a, b, metric, _ = generate_problem(ProblemSpec(kind="diagonal", diagonal=(1.0, 2.0)))
-        assert np.allclose(a, np.diag([1.0, 2.0]))
-        a, _, _, _ = generate_problem(ProblemSpec(kind="gaussian-consistent", rows=4, cols=3))
-        assert a.shape == (4, 3)
-        a, _, metric, _ = generate_problem(ProblemSpec(kind="spd-with-B-equals-A", size=4))
-        assert np.allclose(a, metric.mat)
-        a, _, _, _ = generate_problem(ProblemSpec(kind="graph-incidence-gossip", nodes=5, topology="path"))
-        assert a.shape == (4, 5)
+SEED = 20240801
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            generate_problem(ProblemSpec(kind="mystery"))
+# one config per generated kind, against the generator call it should make:
+# seed falls back to the config seed, condition to 10, topology to "random"
+# and extra_edges to 0
+GENERATED = [
+    ({"kind": "diagonal", "diagonal": [1.0, 2.0]}, lambda: diagonal_problem(diagonal=[1.0, 2.0], seed=SEED)),
+    (
+        {"kind": "diagonal", "size": 5, "condition": 100, "planted": [1, 2, 3, 4, 5]},
+        lambda: diagonal_problem(size=5, condition=100.0, planted=[1.0, 2.0, 3.0, 4.0, 5.0], seed=SEED),
+    ),
+    ({"kind": "gaussian-consistent", "rows": 4, "cols": 3}, lambda: gaussian_consistent(4, 3, seed=SEED)),
+    ({"kind": "spd-with-B-equals-A", "size": 4}, lambda: spd_with_matching_metric(4, condition=10.0, seed=SEED)),
+    (
+        {"kind": "spd-with-B-equals-A", "size": 4, "condition": 50.0, "seed": 3},
+        lambda: spd_with_matching_metric(4, condition=50.0, seed=3),
+    ),
+    (
+        {"kind": "graph-incidence-gossip", "nodes": 6, "seed": 2},
+        lambda: gossip_incidence(6, topology="random", extra_edges=0, seed=2),
+    ),
+    (
+        {"kind": "graph-incidence-gossip", "nodes": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+        lambda: gossip_incidence(5, topology="path"),
+    ),
+]
+
+
+class TestBuildProblem:
+    def test_every_generated_kind_is_covered(self):
+        assert {problem["kind"] for problem, _ in GENERATED} == PROBLEM_KINDS - {"files"}
+
+    @pytest.mark.parametrize("spec, generate", GENERATED)
+    def test_dispatch(self, tmp_path, spec, generate):
+        path = tmp_path / "config.json"
+        config = {"seed": SEED, "problem": spec, "metric": {"kind": "auto"}, "distribution": {"kind": "kaczmarz"}}
+        path.write_text(json.dumps(config))
+        problem, planted = build_problem(load_config(path))
+        a, b, metric, x = generate()
+        assert np.array_equal(problem.A, a) and np.array_equal(problem.b, b)
+        assert np.array_equal(problem.metric.mat, metric.mat)
+        assert np.array_equal(planted, x)
