@@ -67,7 +67,7 @@ def main():
     mu = 0.99 / spec.zeta
     gamma = 2.0 / (1.0 + np.sqrt(mu))
     x0 = problem.min_norm_solution + stream(1, 0).standard_normal(problem.n)
-    cfg = SolverConfig(omega=omega, gamma=gamma, mu=mu, max_iters=8, master_seed=17)
+    cfg = SolverConfig(omega=omega, gamma=gamma, max_iters=8, master_seed=17)
     moments = monte_carlo_moments(
         problem, reform.dist, cfg, 2000, 8, method="accelerated", x0=x0
     )

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 LOG_FLOOR = 1e-300
+# points a rate fit needs past its burn-in
+MIN_FIT_POINTS = 5
 
 
 @dataclass(eq=False)
@@ -278,7 +280,7 @@ class RateFit:
 
 
 def fit_rate(series, burn_in: int = 0) -> RateFit:
-    """Fit series[k] ~ C * rate^k on k >= burn_in.
+    """Fit series[k] ~ C * rate^k on k >= burn_in, at least MIN_FIT_POINTS of them.
 
     Entries at or below zero are floored at 1e-300 before taking logs
     (fast runs underflow); the fit is flagged when that happens.
@@ -287,8 +289,9 @@ def fit_rate(series, burn_in: int = 0) -> RateFit:
     burn_in = int(burn_in)
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    if s.size < burn_in + 5:
-        raise ValueError(f"need at least burn_in + 5 = {burn_in + 5} points, got {s.size}")
+    need = burn_in + MIN_FIT_POINTS
+    if s.size < need:
+        raise ValueError(f"need at least burn_in + {MIN_FIT_POINTS} = {need} points, got {s.size}")
     tail = s[burn_in:]
     floored = bool(np.any(tail <= 0.0))
     logs = np.log(np.maximum(tail, LOG_FLOOR))

@@ -23,29 +23,26 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import fit_rate, theoretical_rates
-from .config import ConfigError, ExperimentConfig, build_distribution, build_problem, load_config
+from .analysis import MIN_FIT_POINTS, fit_rate, theoretical_rates
+from .config import ConfigError, ExperimentConfig, build_distribution, build_problem, build_solvers, load_config
 from .linalg import InconsistentSystemError
 from .mmio import ParseError
 from .reformulation import DegenerateSpectrumError, TooFewSamplesError, build_reformulation
 # run_basic, run_parallel and run_accelerated stay importable from here and
 # from analysis because bench/tracing.py wraps them where it looks them up
-from .solvers import (  # noqa: F401
-    SolverConfig,
-    _acceleration_gamma,
-    acceleration_parameters,
-    run_accelerated,
-    run_basic,
-    run_parallel,
-    run_trajectories,
-    stepsize_policy,
+from .solvers import run_accelerated, run_basic, run_parallel, run_trajectories  # noqa: F401
+from .validation import (
+    FITTED_CHECKS,
+    LIBRARY_CHECKS,
+    PROBLEM_CHECKS,
+    REPLICATED_CHECKS,
+    ValidationOptions,
+    run_validation,
 )
-from .validation import LIBRARY_CHECKS, PROBLEM_CHECKS, REPLICATED_CHECKS, ValidationOptions, run_validation
 
 DEFAULT_RUN_CHECKS = ["lemma:pathwise-step-identities", "lemma:spectrum-in-unit-interval"]
 
@@ -96,47 +93,17 @@ def _trace_text(traces) -> str:
     return "".join(blocks)
 
 
-def _solver_config(spec: dict, reform, cfg: ExperimentConfig) -> SolverConfig:
-    if "omega" not in spec and spec.get("policy") is None:
-        raise ValueError("needs omega or policy")
-    omega = float(spec["omega"]) if "omega" in spec else stepsize_policy(reform.spectrum, spec["policy"])
-    iters = int(spec.get("iterations", cfg.iterations))
-    config = SolverConfig(omega=omega, max_iters=iters, master_seed=cfg.seed, tau=int(spec.get("tau", 1)))
-    if spec["method"] != "accelerated":
-        return config
-    gamma, mu = spec.get("gamma"), spec.get("mu", "auto")
-    if mu == "auto":
-        if gamma is None:
-            gamma, mu = acceleration_parameters(reform.spectrum, omega)
-        return replace(config, gamma=float(gamma), mu=None if mu == "auto" else float(mu))
-    # an explicit mu must lie in (0, 1); a given gamma wins over the one mu implies
-    implied = _acceleration_gamma(replace(config, mu=float(mu)))
-    return replace(config, gamma=implied if gamma is None else float(gamma), mu=float(mu))
-
-
-def _solver_configs(cfg: ExperimentConfig, reform) -> list[SolverConfig]:
-    """The SolverConfig of every solver spec; an invalid spec raises ConfigError."""
-    configs = []
-    for index, spec in enumerate(cfg.solvers):
-        try:
-            configs.append(_solver_config(spec, reform, cfg))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"solvers[{index}]", str(exc)) from None
-    return configs
-
-
-def _run_solver(spec, index, base, problem, dist, reform, cfg):
-    method, omega, iters = spec["method"], base.omega, base.max_iters
-    label = spec.get("label", f"{method}-{index}")
+def _run_solver(method, label, base, mu, problem, dist, reform, cfg):
+    omega, iters = base.omega, base.max_iters
     traces = run_trajectories(problem, dist, base, method, range(cfg.replications))
     text = _trace_text(traces)
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent run sums to inf or nan
         l2_mean = np.stack([t.error_sq for t in traces]).mean(axis=0)
     diverged = [t.diverged_at for t in traces if t.diverged_at is not None]
-    fitted = fit_rate(np.maximum(l2_mean, 0.0)) if not diverged and iters + 1 >= 5 else None
+    fitted = fit_rate(np.maximum(l2_mean, 0.0)) if not diverged and iters + 1 >= MIN_FIT_POINTS else None
     if fitted is not None and fitted.floored:
         fitted = None  # trajectories hit exact zero; a geometric fit is meaningless
-    rates = theoretical_rates(reform.spectrum, omega, tau=base.tau, mu=base.mu)
+    rates = theoretical_rates(reform.spectrum, omega, tau=base.tau, mu=mu)
     summary = {
         "label": label,
         "method": method,
@@ -150,14 +117,15 @@ def _run_solver(spec, index, base, problem, dist, reform, cfg):
     if fitted is not None:
         summary["fitted_l2_rate"] = fitted.rate
         summary["fit_residual"] = fitted.residual
-    return label, text, summary
+    return text, summary
 
 
 def _checks(cfg: ExperimentConfig, default: list[str]) -> list[str]:
     """The configured check names, ``default`` when unset.
 
     An unknown name raises ConfigError, as does a single replication
-    with a check whose Monte Carlo moments need at least two.
+    with a check whose Monte Carlo moments need at least two, or fewer
+    iterations than a check that fits a rate to them needs.
     """
     checks = default if cfg.checks is None else cfg.checks
     unknown = [name for name in checks if name not in LIBRARY_CHECKS and name not in PROBLEM_CHECKS]
@@ -167,6 +135,12 @@ def _checks(cfg: ExperimentConfig, default: list[str]) -> list[str]:
     if cfg.replications < 2 and replicated:
         raise ConfigError(
             "<root>.replications", f"must be at least 2 for the Monte Carlo check {replicated[0]!r}"
+        )
+    fitted = [name for name in checks if name in FITTED_CHECKS]
+    if cfg.iterations + 1 < MIN_FIT_POINTS and fitted:
+        raise ConfigError(
+            "<root>.iterations",
+            f"must be at least {MIN_FIT_POINTS - 1} for the rate-fitting check {fitted[0]!r}",
         )
     return checks
 
@@ -221,10 +195,10 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     checks = _checks(cfg, DEFAULT_RUN_CHECKS)
     problem, dist, reform = _setup(cfg, out_dir)
-    configs = _solver_configs(cfg, reform)
+    solvers = build_solvers(cfg, reform.spectrum)
     solver_summaries, rate_rows = [], []
-    for index, (spec, config) in enumerate(zip(cfg.solvers, configs)):
-        label, text, summary = _run_solver(spec, index, config, problem, dist, reform, cfg)
+    for spec, (label, config, mu) in zip(cfg.solvers, solvers):
+        text, summary = _run_solver(spec["method"], label, config, mu, problem, dist, reform, cfg)
         _write_text(out_dir / f"trace_{label}.csv", text)
         solver_summaries.append(summary)
         if "fitted_l2_rate" in summary:
@@ -242,7 +216,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     checks = _checks(cfg, [*LIBRARY_CHECKS, *PROBLEM_CHECKS])
     problem, _, reform = _setup(cfg, out_dir)
-    _solver_configs(cfg, reform)  # the validation options read the solver specs
+    build_solvers(cfg, reform.spectrum)  # the validation options read the solver specs
     results = run_validation(problem, reform, _validation_options(cfg), checks)
     _write_csv(
         out_dir / "checks.csv",

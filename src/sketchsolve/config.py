@@ -8,12 +8,12 @@ seed is mandatory; nothing ever falls back to wall-clock entropy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linalg import InconsistentSystemError, Problem, SpdMatrix
 from .mmio import ParseError, load_matrix_market, load_vector
 from .problems import diagonal_problem, gaussian_consistent, gossip_incidence, spd_with_matching_metric
-from .reformulation import DEFAULT_EXPECTATION_SAMPLES
+from .reformulation import DEFAULT_EXPECTATION_SAMPLES, Spectrum
 from .sketching import (
     DEFAULT_SUPPORT_CAP,
     Block,
@@ -25,9 +25,11 @@ from .sketching import (
     SketchDistribution,
     kaczmarz_distribution,
 )
-from .solvers import METHODS
+from .solvers import METHODS, SolverConfig, acceleration_parameters, stepsize_policy
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_problem", "build_distribution"]
+__all__ = [
+    "ConfigError", "ExperimentConfig", "load_config", "build_problem", "build_distribution", "build_solvers"
+]
 
 DISTRIBUTION_KINDS = {
     "fixed-identity",
@@ -248,3 +250,51 @@ def build_distribution(cfg: ExperimentConfig, problem: Problem) -> SketchDistrib
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError("distribution", str(exc)) from None
+
+
+def _build_solver(spec: dict, path: str, cfg: ExperimentConfig, spectrum: Spectrum):
+    """(SolverConfig, mu) of one solver spec; mu is None unless the rates use one."""
+    omega = _get(spec, "omega", path, (int, float), required=False)
+    policy = _get(spec, "policy", path, str, required=False)
+    iterations = _get(spec, "iterations", path, int, required=False, default=cfg.iterations)
+    tau = _get(spec, "tau", path, int, required=False, default=1)
+    gamma = _get(spec, "gamma", path, (int, float), required=False)
+    mu = _get(spec, "mu", path, (int, float, str), required=False, default="auto")
+    if isinstance(mu, str) and mu != "auto":
+        raise ConfigError(f"{path}.mu", f"expected a number or 'auto', got {mu!r}")
+    if omega is None and policy is None:
+        raise ValueError("needs omega or policy")
+    omega = float(omega) if omega is not None else stepsize_policy(spectrum, policy)
+    config = SolverConfig(omega=omega, max_iters=iterations, master_seed=cfg.seed, tau=tau)
+    if spec["method"] != "accelerated":
+        return config, None
+    if mu == "auto" and gamma is not None:
+        return replace(config, gamma=float(gamma)), None  # no mu is computed
+    implied, mu = acceleration_parameters(spectrum, omega, None if mu == "auto" else mu)
+    return replace(config, gamma=float(implied if gamma is None else gamma)), mu
+
+
+def build_solvers(cfg: ExperimentConfig, spectrum: Spectrum) -> list[tuple[str, SolverConfig, float | None]]:
+    """(label, SolverConfig, mu) of every solver spec, in spec order.
+
+    A spec's label defaults to ``f"{method}-{index}"`` and must differ
+    from every earlier one, since it names the trace file. ``omega`` or
+    ``policy`` sets the stepsize; the accelerated method steps with the
+    given ``gamma`` or the one :func:`acceleration_parameters` implies
+    by ``mu`` (automatic unless given), and ``mu`` is what its predicted
+    rates read. An invalid spec raises ConfigError.
+    """
+    solvers, labels = [], {}
+    for index, spec in enumerate(cfg.solvers):
+        path = f"solvers[{index}]"
+        label = _get(spec, "label", path, str, required=False, default=f"{spec['method']}-{index}")
+        if label in labels:
+            raise ConfigError(f"{path}.label", f"{label!r} is already the label of solvers[{labels[label]}]")
+        labels[label] = index
+        try:
+            solvers.append((label, *_build_solver(spec, path, cfg, spectrum)))
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(path, str(exc)) from None
+    return solvers

@@ -89,9 +89,10 @@ class SolverConfig:
 
     ``omega`` is the relaxation parameter (stepsize), ``tau`` the number
     of averaged sketches per iteration (parallel method only), and
-    ``gamma``/``mu`` the acceleration parameters (``gamma`` wins if both
-    are given, otherwise gamma = 2/(1+sqrt(mu))). ``master_seed`` is
-    mandatory; no wall-clock seeding happens anywhere.
+    ``gamma`` the weight the accelerated method steps with (it needs
+    one; :func:`acceleration_parameters` gives the theory's
+    gamma = 2/(1+sqrt(mu))). ``master_seed`` is mandatory; no
+    wall-clock seeding happens anywhere.
     """
 
     omega: float
@@ -99,7 +100,6 @@ class SolverConfig:
     master_seed: int
     tau: int = 1
     gamma: float | None = None
-    mu: float | None = None
     record: tuple[str, ...] = ("error_sq",)
     tol: float | None = None
 
@@ -295,17 +295,6 @@ def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.nda
     return np.linalg.solve(lhs, rhs)
 
 
-def _acceleration_gamma(config: SolverConfig) -> float:
-    if config.gamma is not None:
-        return float(config.gamma)
-    if config.mu is None:
-        raise ValueError("accelerated method needs gamma or mu")
-    mu = float(config.mu)
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    return 2.0 / (1.0 + np.sqrt(mu))
-
-
 def _within_tol(error_sq: np.ndarray, tol: float) -> np.ndarray:
     """sqrt(max(e, 0)) <= tol for every entry e; a nan is not within tol."""
     return np.sqrt(np.maximum(error_sq, 0.0)) <= tol
@@ -422,7 +411,9 @@ def run_trajectories(
         residual = problem.metric.norm(d - problem.range_projector_apply(d))
         if residual > 1e-9 * (1.0 + problem.metric.norm(d)):
             raise ValueError(f"x0 - x1 must lie in range(B^{{-1}}A'); projection residual {residual:.3e}")
-        gamma = _acceleration_gamma(config)
+        if config.gamma is None:
+            raise ValueError("accelerated method needs gamma")
+        gamma = float(config.gamma)
 
     step = _sketch_steps(ws, dist, config, method, replications, tau, samples)
 
@@ -558,8 +549,8 @@ def run_accelerated(
 ) -> IterationTrace:
     """Run the accelerated method from the starts x_0 and x_1.
 
-    x_1 = x_0 by default; x_0 - x_1 must lie in range(B^{-1}A').
-    ``config.gamma`` is used when set, else gamma = 2/(1 + sqrt(mu)).
+    x_1 = x_0 by default; x_0 - x_1 must lie in range(B^{-1}A'); the
+    weight is ``config.gamma``.
     """
     return run_trajectories(problem, dist, config, "accelerated", (replication,), x0, x1, samples)[0]
 
@@ -580,16 +571,22 @@ def stepsize_policy(spectrum: Spectrum, kind: str) -> float:
     raise ValueError(f"unknown stepsize policy {kind!r}")
 
 
-def acceleration_parameters(spectrum: Spectrum, omega: float):
-    """Theory-backed (gamma, mu) for the accelerated method.
+def acceleration_parameters(spectrum: Spectrum, omega: float, mu: float | None = None):
+    """Theory-backed (gamma, mu) for the accelerated method: gamma = 2/(1+sqrt(mu)).
 
-    mu = 0.99 * omega * lambda_min_plus keeps mu strictly inside the
-    admissible interval (0, omega * lambda_min_plus); a stepsize that
-    makes it non-positive, where sqrt(mu) is undefined, is rejected.
+    A given ``mu`` must lie in (0, 1). Without one, mu = 0.99 * omega *
+    lambda_min_plus keeps mu strictly inside the admissible interval
+    (0, omega * lambda_min_plus); a stepsize that makes it non-positive,
+    where sqrt(mu) is undefined, is rejected.
     """
-    mu = 0.99 * float(omega) * spectrum.lambda_min_plus
-    if not mu > 0.0:
-        raise ValueError(f"auto mu = {float(mu):.6g} is not positive at omega = {float(omega):.6g}")
+    if mu is None:
+        mu = 0.99 * float(omega) * spectrum.lambda_min_plus
+        if not mu > 0.0:
+            raise ValueError(f"auto mu = {float(mu):.6g} is not positive at omega = {float(omega):.6g}")
+    else:
+        mu = float(mu)
+        if not 0.0 < mu < 1.0:
+            raise ValueError(f"mu must lie in (0, 1), got {mu}")
     gamma = 2.0 / (1.0 + np.sqrt(mu))
     return gamma, mu
 

@@ -66,6 +66,7 @@ __all__ = [
     "LIBRARY_CHECKS",
     "PROBLEM_CHECKS",
     "REPLICATED_CHECKS",
+    "FITTED_CHECKS",
 ]
 
 VALIDATION_STREAM = 303
@@ -109,21 +110,28 @@ PROBLEM_CHECKS = {}
 # anchors of the checks whose Monte Carlo experiments take
 # ``options.replications``, which must then be at least 2
 REPLICATED_CHECKS = set()
+# anchors of the checks that fit a rate to ``options.iterations`` + 1
+# points, which must then be at least MIN_FIT_POINTS
+FITTED_CHECKS = set()
 
 _MC_SKIP_REASON = "needs an exactly known expected operator; estimation is Monte Carlo"
 
 
-def _check(registry: dict, anchor: str, exact_only: bool = False, replicated: bool = False):
+def _check(
+    registry: dict, anchor: str, exact_only: bool = False, replicated: bool = False, fitted: bool = False
+):
     """Register a check under its anchor.
 
     The decorated function returns ``(passed, margin, details)``; what is
     registered, and bound to its name, returns the :class:`CheckResult`.
     An ``exact_only`` problem check is skipped, as passed with margin 0,
     when E[Z] is a Monte Carlo estimate. A ``replicated`` check joins
-    ``REPLICATED_CHECKS``.
+    ``REPLICATED_CHECKS``, a ``fitted`` one ``FITTED_CHECKS``.
     """
     if replicated:
         REPLICATED_CHECKS.add(anchor)
+    if fitted:
+        FITTED_CHECKS.add(anchor)
 
     def register(check):
         @functools.wraps(check)
@@ -556,13 +564,19 @@ def check_l2_band(
 def check_cesaro_bounds(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
-    """O(1/k) bounds for the running-average iterate (norm and value)."""
+    """O(1/k) bounds for the running-average iterate (norm and value).
+
+    For hat_x_k = (1/k) sum_{t<k} x_t, E f(hat_x_k) <= r0 / (2 w(2-w) k).
+    hat_x_k - x* lies in range(B^{-1}A'), so x* is its projection too,
+    and f(x) >= (lambda_min_plus/2) ||x - x*||_B^2 (lemma:quadratic-bounds)
+    gives E ||hat_x_k - x*||_B^2 <= r0 / (w(2-w) lambda_min_plus k).
+    """
     omega = options.omega
     moments = experiments()
     lmin = reform.spectrum.lambda_min_plus
     r0 = moments.l2_error[0]
     k = np.arange(1, options.iterations + 1)
-    bound_norm = r0 / (2.0 * omega * (2.0 - omega) * lmin * k)
+    bound_norm = r0 / (omega * (2.0 - omega) * lmin * k)
     bound_value = r0 / (2.0 * omega * (2.0 - omega) * k)
     worst = float(
         np.max(moments.cesaro_error[1:] - bound_norm - 3.0 * moments.cesaro_error_se[1:])
@@ -602,7 +616,7 @@ def check_value_decay(
     return _gap(worst, 1e-12, **details)
 
 
-@_check(PROBLEM_CHECKS, "corollary:convergence-window")
+@_check(PROBLEM_CHECKS, "corollary:convergence-window", fitted=True)
 def check_convergence_window(
     problem: Problem, reform: Reformulation, options: ValidationOptions, experiments
 ):
@@ -677,7 +691,7 @@ def check_accelerated_mean(
     gamma, mu = acceleration_parameters(spectrum, omega)
     iters = max(options.iterations, 12)
     x0 = _validation_start(problem, options)
-    moments = experiments("accelerated", omega=omega, gamma=gamma, mu=mu, iterations=iters)
+    moments = experiments("accelerated", omega=omega, gamma=gamma, iterations=iters)
     exact = expected_mean_error(reform, omega, iters, x0=x0, method="accelerated", gamma=gamma)
     mc_norm = np.sqrt(np.maximum(moments.mean_error_norm_sq, 0.0))
     noise = np.sqrt(np.maximum(moments.l2_error, 0.0)) / np.sqrt(moments.replications)
@@ -740,7 +754,7 @@ def _validation_start(problem: Problem, options: ValidationOptions) -> np.ndarra
 def _experiments(problem: Problem, reform: Reformulation, options: ValidationOptions):
     """The Monte Carlo experiments of one validation pass, each run once.
 
-    Returns ``experiments(method="basic", *, omega, tau, gamma, mu,
+    Returns ``experiments(method="basic", *, omega, tau, gamma,
     iterations, replications)``, the :func:`monte_carlo_moments` of the
     method from the validation start; ``omega``, ``iterations`` and
     ``replications`` default to those of ``options``, and the streams
@@ -758,7 +772,6 @@ def _experiments(problem: Problem, reform: Reformulation, options: ValidationOpt
         omega: float | None = None,
         tau: int = 1,
         gamma: float | None = None,
-        mu: float | None = None,
         iterations: int | None = None,
         replications: int | None = None,
     ):
@@ -768,7 +781,6 @@ def _experiments(problem: Problem, reform: Reformulation, options: ValidationOpt
             master_seed=options.seed,
             tau=tau,
             gamma=gamma,
-            mu=mu,
         )
         replications = options.replications if replications is None else replications
         key = (method, config, replications)

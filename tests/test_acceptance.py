@@ -389,7 +389,7 @@ def test_criterion_10_acceleration_speedup():
     # mean recursion the crossing counts are computed from, over the window
     # where the empirical mean still resolves the expectation
     replications = 2000
-    cfg = SolverConfig(omega=omega, gamma=gamma, mu=mu, max_iters=12, master_seed=1010)
+    cfg = SolverConfig(omega=omega, gamma=gamma, max_iters=12, master_seed=1010)
     moments = monte_carlo_moments(
         problem, reform.dist, cfg, replications, 12, method="accelerated", x0=x0
     )

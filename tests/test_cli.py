@@ -10,10 +10,17 @@ import pytest
 
 from sketchsolve.analysis import theoretical_rates
 from sketchsolve.cli import _trace_text, main
-from sketchsolve.config import DISTRIBUTION_KINDS, ConfigError, build_distribution, build_problem, load_config
+from sketchsolve.config import (
+    DISTRIBUTION_KINDS,
+    ConfigError,
+    build_distribution,
+    build_problem,
+    build_solvers,
+    load_config,
+)
 from sketchsolve.linalg import InconsistentSystemError
 from sketchsolve.reformulation import build_reformulation
-from sketchsolve.solvers import IterationTrace
+from sketchsolve.solvers import IterationTrace, acceleration_parameters, stepsize_policy
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -43,6 +50,30 @@ class TestConfig:
         assert np.allclose(planted, [1.0, 1.0])
         dist = build_distribution(cfg, problem)
         assert np.allclose(dist.probabilities, [0.2, 0.8])
+
+    def test_build_solvers_resolves_every_spec_in_order(self, tmp_path):
+        specs = [
+            {"method": "basic", "policy": "optimal"},
+            {"method": "parallel", "omega": 1, "tau": 4, "iterations": 7, "label": "p"},
+            {"method": "accelerated", "omega": 1.25},
+            # a given gamma with an automatic mu computes no mu, so omega may be negative
+            {"method": "accelerated", "omega": -0.5, "gamma": 1.5, "mu": "auto"},
+            {"method": "accelerated", "omega": 1.0, "mu": 0.1},
+            {"method": "accelerated", "omega": 1.0, "mu": 0.1, "gamma": 1.2},
+        ]
+        cfg = load_config(write_config(tmp_path, solvers=specs))
+        problem, _ = build_problem(cfg)
+        spectrum = build_reformulation(problem, build_distribution(cfg, problem)).spectrum
+        labels, configs, mus = zip(*build_solvers(cfg, spectrum))
+        assert labels == ("basic-0", "p", "accelerated-2", "accelerated-3", "accelerated-4", "accelerated-5")
+        assert all(config.master_seed == cfg.seed for config in configs)
+        assert (configs[0].omega, configs[0].max_iters) == (stepsize_policy(spectrum, "optimal"), 15)
+        assert (configs[1].omega, configs[1].tau, configs[1].max_iters) == (1.0, 4, 7)
+        assert configs[0].gamma is configs[1].gamma is mus[0] is mus[1] is None
+        assert (configs[2].gamma, mus[2]) == acceleration_parameters(spectrum, 1.25)
+        assert (configs[3].gamma, mus[3]) == (1.5, None)
+        assert (configs[4].gamma, mus[4]) == acceleration_parameters(spectrum, 1.0, mu=0.1)
+        assert (configs[5].gamma, mus[5]) == (1.2, 0.1)
 
     def test_missing_seed(self, tmp_path):
         path = tmp_path / "noseed.json"
@@ -298,6 +329,14 @@ class TestCliCommands:
             '{"method": "basic", "omega": 1e400}',
             '{"method": "accelerated", "omega": 0.5, "mu": -0.5}',
             '{"method": "accelerated", "omega": -0.5}',
+            # each field is read with its JSON type, never converted
+            '{"method": "parallel", "omega": 1.0, "tau": 2.5}',
+            '{"method": "basic", "omega": "1.0"}',
+            '{"method": "basic", "omega": true}',
+            '{"method": "basic", "omega": 1.0, "iterations": "12"}',
+            '{"method": "accelerated", "omega": 1.0, "mu": "0.5"}',
+            # a label names the trace file, so it is unique, the default ones included
+            '{"method": "basic", "omega": 0.5, "label": "basic-0"}',
         ],
     )
     def test_invalid_solver_specs_exit_two(self, tmp_path, capsys, solver):
@@ -320,6 +359,53 @@ class TestCliCommands:
         # validate reads the solver specs for its options, so it rejects them too
         assert main(["validate", str(path), "--output-dir", str(tmp_path / "v")]) == 2
         assert capsys.readouterr().err.startswith("error: solvers[1]")
+
+    def test_duplicate_label_exits_two_before_any_trace(self, tmp_path):
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg["solvers"].append({"method": "basic", "omega": 0.5, "label": "basic-optimal"})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "run", str(path), "--output-dir", str(out)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: solvers[4].label: 'basic-optimal' is already the label of solvers[1]\n"
+        assert not list(out.glob("trace_*.csv"))
+
+    @pytest.mark.parametrize("command, iterations", [("run", 3), ("validate", 1), ("validate", 3)])
+    def test_too_few_iterations_for_a_rate_fit_exit_two(self, tmp_path, command, iterations):
+        # corollary:convergence-window fits a rate to iterations + 1 mean errors
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg["iterations"] = iterations
+        if command == "run":
+            cfg["checks"] = ["corollary:convergence-window"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", command, str(path), "--output-dir", str(out)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: <root>.iterations: must be at least 4 for the rate-fitting check "
+            "'corollary:convergence-window'\n"
+        )
+        assert not list(out.glob("*"))
+
+    def test_fewest_iterations_for_a_rate_fit_pass(self, tmp_path, capsys):
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg.update(iterations=4, checks=["corollary:convergence-window"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.startswith("PASS corollary:convergence-window")
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_unknown_check_exits_two(self, tmp_path, command):

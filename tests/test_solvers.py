@@ -40,6 +40,11 @@ def reference_problem():
     return Problem(np.diag([1.0, 2.0]), [1.0, 2.0])
 
 
+def reference_spectrum():
+    problem = reference_problem()
+    return build_reformulation(problem, kaczmarz_distribution(problem.A)).spectrum
+
+
 def random_problem(rng, weighted=True):
     m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     a = rng.standard_normal((m, n))
@@ -334,27 +339,40 @@ class TestAccelerated:
         trace = run_accelerated(problem, dist, cfg, x0=np.zeros(2), x1=np.array([0.5, 0.0]))
         assert len(trace.error_sq) == 6
 
-    def test_needs_gamma_or_mu(self):
+    def test_needs_gamma(self):
         problem = reference_problem()
         dist = kaczmarz_distribution(problem.A)
         cfg = SolverConfig(omega=1.0, max_iters=5, master_seed=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="accelerated method needs gamma"):
             run_accelerated(problem, dist, cfg)
 
     def test_mu_sets_gamma(self):
-        problem = reference_problem()
-        dist = kaczmarz_distribution(problem.A)
-        cfg = SolverConfig(omega=1.0, mu=0.198, max_iters=5, master_seed=2)
-        trace = run_accelerated(problem, dist, cfg)
-        assert trace.gamma == pytest.approx(2.0 / (1.0 + np.sqrt(0.198)))
+        spectrum = reference_spectrum()
+        gamma, mu = acceleration_parameters(spectrum, 1.0, mu=0.198)
+        assert mu == 0.198
+        assert gamma == pytest.approx(2.0 / (1.0 + np.sqrt(0.198)))
+
+    def test_gamma_bits_equal_the_closed_form_on_both_paths(self):
+        spectrum = reference_spectrum()
+        given = acceleration_parameters(spectrum, 1.0, mu=0.198)[0]
+        auto_gamma, auto_mu = acceleration_parameters(spectrum, 1.25)
+        for gamma, mu in ((given, 0.198), (auto_gamma, auto_mu)):
+            assert np.float64(gamma).tobytes() == np.float64(2.0 / (1.0 + np.sqrt(mu))).tobytes()
+        assert auto_mu == 0.99 * 1.25 * spectrum.lambda_min_plus
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, -0.5, 1.5])
+    def test_given_mu_outside_unit_interval_rejected(self, mu):
+        spectrum = reference_spectrum()
+        with pytest.raises(ValueError, match="mu must lie in"):
+            acceleration_parameters(spectrum, 1.0, mu=mu)
 
     def test_converges_on_reference(self):
         problem = reference_problem()
         dist = kaczmarz_distribution(problem.A)
         reform = build_reformulation(problem, dist)
         omega = 1.0 / reform.spectrum.lambda_max
-        gamma, mu = acceleration_parameters(reform.spectrum, omega)
-        cfg = SolverConfig(omega=omega, gamma=gamma, mu=mu, max_iters=120, master_seed=4)
+        gamma, _ = acceleration_parameters(reform.spectrum, omega)
+        cfg = SolverConfig(omega=omega, gamma=gamma, max_iters=120, master_seed=4)
         trace = run_accelerated(problem, dist, cfg, x0=np.array([9.0, -7.0]))
         # single trajectories fluctuate (only the mean error has a proved
         # rate), so only ask for a comfortable relative reduction
@@ -397,8 +415,8 @@ class TestTrajectoryEngine:
         dist = kaczmarz_distribution(problem.A)
         reform = build_reformulation(problem, dist)
         omega = 1.0 / reform.spectrum.lambda_max
-        gamma, mu = acceleration_parameters(reform.spectrum, omega)
-        cfg = SolverConfig(omega=omega, gamma=gamma, mu=mu, max_iters=500, master_seed=4, tol=1e-6)
+        gamma, _ = acceleration_parameters(reform.spectrum, omega)
+        cfg = SolverConfig(omega=omega, gamma=gamma, max_iters=500, master_seed=4, tol=1e-6)
         trace = run_accelerated(problem, dist, cfg, x0=np.array([9.0, -7.0]))
         assert trace.converged is True
         assert len(trace.error_sq) < 501

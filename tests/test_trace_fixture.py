@@ -50,7 +50,7 @@ def compute() -> dict:
     reform = build_reformulation(problem, dist)
     spectrum = reform.spectrum
     seed = cfg.seed
-    gamma, mu = acceleration_parameters(spectrum, 1.25)
+    gamma, _ = acceleration_parameters(spectrum, 1.25)
     configs = {
         "basic-unit": ("basic", SolverConfig(omega=1.0, max_iters=ITERATIONS, master_seed=seed)),
         "basic-optimal": (
@@ -65,7 +65,7 @@ def compute() -> dict:
         ),
         "accelerated": (
             "accelerated",
-            SolverConfig(omega=1.25, gamma=gamma, mu=mu, max_iters=ITERATIONS, master_seed=seed),
+            SolverConfig(omega=1.25, gamma=gamma, max_iters=ITERATIONS, master_seed=seed),
         ),
     }
     runners = {"basic": run_basic, "parallel": run_parallel, "accelerated": run_accelerated}

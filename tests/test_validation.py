@@ -1,18 +1,26 @@
+import json
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sketchsolve import validation
 from sketchsolve.analysis import monte_carlo_moments
+from sketchsolve.cli import main
 from sketchsolve.linalg import Problem
 from sketchsolve.problems import gaussian_consistent
 from sketchsolve.reformulation import build_reformulation
-from sketchsolve.sketching import Coordinate, kaczmarz_distribution
+from sketchsolve.sketching import Coordinate, SketchSample, kaczmarz_distribution
+from sketchsolve.solvers import SolverConfig, run_basic
 from sketchsolve.validation import (
     LIBRARY_CHECKS,
     PROBLEM_CHECKS,
     ValidationOptions,
     run_validation,
 )
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "reference_config.json"
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +135,58 @@ def test_seed_7_range_eigen_instance_is_consistent():
     problem = Problem(a, a @ planted)
     assert problem.consistency_residual <= 1e-10 * (1.0 + np.linalg.norm(problem.b))
     assert np.allclose(problem.min_norm_solution, planted, atol=1e-8)
+
+
+def _exact_cesaro_error(problem, probabilities, x0, iterations):
+    """Exact E||hat_x_k - x*||^2, k = 1..iterations, of Kaczmarz at omega = 1 on a diagonal system.
+
+    Each step zeroes the error of the coordinate it draws, so coordinate j
+    of x_t - x* is its start value until j is first drawn, a geometric
+    time T_j with P(T_j >= t) = q_j^t, q_j = 1 - p_j. Coordinate j of
+    hat_x_k - x* is then its start value times sum_{t<k} [T_j >= t] / k,
+    whose expected square is sum_{t,u<k} q_j^max(t,u) / k^2 =
+    sum_{s<k} (2s + 1) q_j^s / k^2.
+    """
+    e0 = x0 - problem.project(x0)
+    s = np.arange(iterations)[:, None]
+    k = np.arange(1, iterations + 1)
+    return np.cumsum((2 * s + 1) * (1.0 - probabilities) ** s, axis=0) @ (e0 * e0) / k**2
+
+
+def test_cesaro_norm_bound_holds_for_the_exact_expectation(reference):
+    # the reference problem at the validation start of master seed 1007:
+    # the exact expectation breaks r0 / (2 w(2-w) lambda_min_plus k), the
+    # norm bound the check used to apply, and keeps under the one the
+    # value bound gives, twice that
+    problem, reform = reference
+    probabilities = reform.dist.probabilities
+    x0 = validation._validation_start(problem, ValidationOptions(seed=1007))
+    exact = _exact_cesaro_error(problem, probabilities, x0, 25)
+
+    # the closed form against every draw sequence of 8 steps, through the solver
+    config = SolverConfig(omega=1.0, max_iters=8, master_seed=1, record=("iterates",))
+    enumerated = np.zeros(8)
+    for rows in product(range(2), repeat=8):
+        samples = [SketchSample(cols=(i,), m=2) for i in rows]
+        iterates = run_basic(problem, reform.dist, config, x0=x0, samples=samples).iterates[:-1]
+        average = np.cumsum(iterates, axis=0) / np.arange(1, 9)[:, None]
+        enumerated += np.prod(probabilities[list(rows)]) * ((average - problem.project(x0)) ** 2).sum(axis=1)
+    assert np.allclose(enumerated, exact[:8], rtol=1e-13, atol=0.0)
+
+    lmin = reform.spectrum.lambda_min_plus
+    r0 = float(np.sum((x0 - problem.project(x0)) ** 2))
+    k = np.arange(1, 26)
+    assert exact[6] - r0 / (2.0 * lmin * 7) > 0.1
+    assert np.max(exact / (r0 / (lmin * k))) < 0.61
+
+
+def test_cesaro_check_passes_at_master_seed_1007(tmp_path, capsys):
+    # the check failed here while it applied the halved norm bound
+    cfg = dict(json.loads(REFERENCE_CONFIG.read_text()), checks=["theorem:cesaro-average-bounds"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path), "--seed", "1007", "--output-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.startswith("PASS theorem:cesaro-average-bounds")
 
 
 def test_accelerated_check_pinned_at_n_20():
