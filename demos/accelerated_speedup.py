@@ -16,6 +16,7 @@ import numpy as np
 from sketchsolve import (
     Problem,
     SolverConfig,
+    acceleration_parameters,
     build_reformulation,
     diagonal_problem,
     expected_mean_error,
@@ -39,8 +40,7 @@ def main():
         reform = build_reformulation(problem, kaczmarz_distribution(a))
         spec = reform.spectrum
         omega = 1.0 / spec.lambda_max
-        mu = 0.99 / spec.zeta
-        gamma = 2.0 / (1.0 + np.sqrt(mu))
+        gamma, _ = acceleration_parameters(spec, omega, mu=0.99 / spec.zeta)
         x0 = problem.min_norm_solution + stream(1, 0).standard_normal(problem.n)
         basic = expected_mean_error(reform, omega, int(20 * condition), x0=x0)
         accel = expected_mean_error(
@@ -64,8 +64,7 @@ def main():
     reform = build_reformulation(problem, kaczmarz_distribution(a))
     spec = reform.spectrum
     omega = 1.0 / spec.lambda_max
-    mu = 0.99 / spec.zeta
-    gamma = 2.0 / (1.0 + np.sqrt(mu))
+    gamma, _ = acceleration_parameters(spec, omega, mu=0.99 / spec.zeta)
     x0 = problem.min_norm_solution + stream(1, 0).standard_normal(problem.n)
     cfg = SolverConfig(omega=omega, gamma=gamma, max_iters=8, master_seed=17)
     moments = monte_carlo_moments(

@@ -145,19 +145,31 @@ def _checks(cfg: ExperimentConfig, default: list[str]) -> list[str]:
     return checks
 
 
-def _validation_options(cfg: ExperimentConfig) -> ValidationOptions:
-    specs = cfg.solvers
-    omega = next((float(s["omega"]) for s in specs if s["method"] == "basic" and "omega" in s), 1.0)
-    tau = next((int(s["tau"]) for s in specs if s["method"] == "parallel" and "tau" in s), 2)
+def _validation_options(cfg: ExperimentConfig, solvers) -> ValidationOptions:
+    """The checks' options: ω of the first basic solver, τ of the first parallel one.
+
+    ``solvers`` is what :func:`build_solvers` returns; without a basic
+    or a parallel solver ω = 1 or τ = 2. The checks assume the
+    mean-square regime, so a basic ω outside (0, 2) leaves them at
+    ω = 1 and a note on stderr says so.
+    """
+    label, omega = next(((label, c.omega) for label, method, c, _ in solvers if method == "basic"), (None, 1.0))
+    tau = next((c.tau for _, method, c, _ in solvers if method == "parallel"), 2)
     if not 0.0 < omega < 2.0:
-        omega = 1.0  # checks assume the mean-square regime
+        note = f"{label} steps at omega={float(omega)!r}, outside (0, 2); the checks run at omega=1.0"
+        print(f"note: {note}", file=sys.stderr)
+        omega = 1.0
     return ValidationOptions(
         seed=cfg.seed, replications=cfg.replications, iterations=cfg.iterations, omega=omega, tau=tau
     )
 
 
 def _setup(cfg: ExperimentConfig, out_dir: Path):
-    """Problem, distribution and reformulation of a config; writes diagnostics.json."""
+    """Problem, distribution, reformulation and solvers of a config; writes diagnostics.json.
+
+    Every solver spec is resolved before anything is written, so an
+    invalid one leaves the output directory untouched.
+    """
     problem, _ = build_problem(cfg)
     dist = build_distribution(cfg, problem)
     try:
@@ -168,8 +180,9 @@ def _setup(cfg: ExperimentConfig, out_dir: Path):
         raise ConfigError(
             "<root>.expectation_samples", "must be at least 2 for a Monte Carlo estimate of E[Z]"
         ) from None
+    solvers = build_solvers(cfg, reform.spectrum)
     _write_json(out_dir / "diagnostics.json", reform.diagnostics())
-    return problem, dist, reform
+    return problem, dist, reform, solvers
 
 
 def _write_summary(out_dir: Path, command: str, cfg: ExperimentConfig, results, **extra) -> int:
@@ -194,11 +207,10 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     checks = _checks(cfg, DEFAULT_RUN_CHECKS)
-    problem, dist, reform = _setup(cfg, out_dir)
-    solvers = build_solvers(cfg, reform.spectrum)
+    problem, dist, reform, solvers = _setup(cfg, out_dir)
     solver_summaries, rate_rows = [], []
-    for spec, (label, config, mu) in zip(cfg.solvers, solvers):
-        text, summary = _run_solver(spec["method"], label, config, mu, problem, dist, reform, cfg)
+    for label, method, config, mu in solvers:
+        text, summary = _run_solver(method, label, config, mu, problem, dist, reform, cfg)
         _write_text(out_dir / f"trace_{label}.csv", text)
         solver_summaries.append(summary)
         if "fitted_l2_rate" in summary:
@@ -209,15 +221,14 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
             rate_rows.append((label, "l2_rate", predicted, summary["fitted_l2_rate"], summary["fit_residual"]))
     _write_csv(out_dir / "rates.csv", ["label", "quantity", "predicted", "fitted", "residual"], rate_rows)
 
-    results = run_validation(problem, reform, _validation_options(cfg), checks)
+    results = run_validation(problem, reform, _validation_options(cfg, solvers), checks)
     return _write_summary(out_dir, "run", cfg, results, solvers=solver_summaries)
 
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     checks = _checks(cfg, [*LIBRARY_CHECKS, *PROBLEM_CHECKS])
-    problem, _, reform = _setup(cfg, out_dir)
-    build_solvers(cfg, reform.spectrum)  # the validation options read the solver specs
-    results = run_validation(problem, reform, _validation_options(cfg), checks)
+    problem, _, reform, solvers = _setup(cfg, out_dir)
+    results = run_validation(problem, reform, _validation_options(cfg, solvers), checks)
     _write_csv(
         out_dir / "checks.csv",
         ["anchor", "passed", "margin"],
@@ -240,9 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = int(args.seed)
+        cfg = load_config(args.config, seed=args.seed)
         out_dir = Path(args.output_dir or cfg.output_dir or "out")
         command = {"run": cmd_run, "diagnose": cmd_diagnose, "validate": cmd_validate}[args.command]
         return command(cfg, out_dir)

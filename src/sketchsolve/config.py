@@ -8,6 +8,7 @@ seed is mandatory; nothing ever falls back to wall-clock entropy.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 
 from .linalg import InconsistentSystemError, Problem, SpdMatrix
@@ -80,6 +81,7 @@ _GENERATORS = {
     ),
 }
 PROBLEM_KINDS = {*_GENERATORS, "files"}
+_LABEL = re.compile(r"[A-Za-z0-9._-]+")  # the POSIX portable file-name characters
 
 
 @dataclass
@@ -99,8 +101,12 @@ class ExperimentConfig:
     output_dir: str | None = None
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a configuration file."""
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate a configuration file.
+
+    ``seed``, when given, replaces the file's master seed, which is
+    still required; the seed used must be non-negative.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
@@ -109,7 +115,10 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
 
-    seed = _get(raw, "seed", "<root>", int)
+    file_seed = _get(raw, "seed", "<root>", int)
+    seed = file_seed if seed is None else seed
+    if seed < 0:
+        raise ConfigError("<root>.seed", f"must be non-negative, got {seed}")
     problem = _get(raw, "problem", "<root>", dict)
     kind = _get(problem, "kind", "problem", str)
     if kind not in PROBLEM_KINDS:
@@ -274,25 +283,30 @@ def _build_solver(spec: dict, path: str, cfg: ExperimentConfig, spectrum: Spectr
     return replace(config, gamma=float(implied if gamma is None else gamma)), mu
 
 
-def build_solvers(cfg: ExperimentConfig, spectrum: Spectrum) -> list[tuple[str, SolverConfig, float | None]]:
-    """(label, SolverConfig, mu) of every solver spec, in spec order.
+def build_solvers(cfg: ExperimentConfig, spectrum: Spectrum) -> list[tuple[str, str, SolverConfig, float | None]]:
+    """(label, method, SolverConfig, mu) of every solver spec, in spec order.
 
-    A spec's label defaults to ``f"{method}-{index}"`` and must differ
-    from every earlier one, since it names the trace file. ``omega`` or
-    ``policy`` sets the stepsize; the accelerated method steps with the
-    given ``gamma`` or the one :func:`acceleration_parameters` implies
-    by ``mu`` (automatic unless given), and ``mu`` is what its predicted
-    rates read. An invalid spec raises ConfigError.
+    A spec's label defaults to ``f"{method}-{index}"``. It names the
+    trace file, so it is one or more of the portable file-name
+    characters ``A-Z a-z 0-9 . _ -`` and differs from every earlier
+    one. ``omega`` or ``policy`` sets the stepsize; the accelerated
+    method steps with the given ``gamma`` or the one
+    :func:`acceleration_parameters` implies by ``mu`` (automatic unless
+    given), and ``mu`` is what its predicted rates read. An invalid
+    spec raises ConfigError.
     """
     solvers, labels = [], {}
     for index, spec in enumerate(cfg.solvers):
         path = f"solvers[{index}]"
-        label = _get(spec, "label", path, str, required=False, default=f"{spec['method']}-{index}")
+        method = spec["method"]
+        label = _get(spec, "label", path, str, required=False, default=f"{method}-{index}")
+        if not _LABEL.fullmatch(label):
+            raise ConfigError(f"{path}.label", f"{label!r} must be one or more of A-Z a-z 0-9 . _ -")
         if label in labels:
             raise ConfigError(f"{path}.label", f"{label!r} is already the label of solvers[{labels[label]}]")
         labels[label] = index
         try:
-            solvers.append((label, *_build_solver(spec, path, cfg, spectrum)))
+            solvers.append((label, method, *_build_solver(spec, path, cfg, spectrum)))
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

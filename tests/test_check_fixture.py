@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from sketchsolve.cli import _validation_options
-from sketchsolve.config import build_distribution, build_problem, load_config
+from sketchsolve.config import build_distribution, build_problem, build_solvers, load_config
 from sketchsolve.reformulation import build_reformulation
 from sketchsolve.validation import PROBLEM_CHECKS, run_validation
 
@@ -34,9 +34,8 @@ def compute() -> dict:
     cfg = load_config(ROOT / "demos" / "reference_config.json")
     problem, _ = build_problem(cfg)
     reform = build_reformulation(problem, build_distribution(cfg, problem))
-    options = dataclasses.replace(
-        _validation_options(cfg), replications=REPLICATIONS, iterations=ITERATIONS
-    )
+    options = _validation_options(cfg, build_solvers(cfg, reform.spectrum))
+    options = dataclasses.replace(options, replications=REPLICATIONS, iterations=ITERATIONS)
     results = run_validation(problem, reform, options, list(PROBLEM_CHECKS))
     return {r.anchor: {"passed": bool(r.passed), "margin": float(r.margin).hex()} for r in results}
 

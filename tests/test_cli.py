@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sketchsolve.analysis import theoretical_rates
-from sketchsolve.cli import _trace_text, main
+from sketchsolve.cli import _trace_text, _validation_options, main
 from sketchsolve.config import (
     DISTRIBUTION_KINDS,
     ConfigError,
@@ -64,8 +64,9 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, solvers=specs))
         problem, _ = build_problem(cfg)
         spectrum = build_reformulation(problem, build_distribution(cfg, problem)).spectrum
-        labels, configs, mus = zip(*build_solvers(cfg, spectrum))
+        labels, methods, configs, mus = zip(*build_solvers(cfg, spectrum))
         assert labels == ("basic-0", "p", "accelerated-2", "accelerated-3", "accelerated-4", "accelerated-5")
+        assert methods == tuple(spec["method"] for spec in specs)
         assert all(config.master_seed == cfg.seed for config in configs)
         assert (configs[0].omega, configs[0].max_iters) == (stepsize_policy(spectrum, "optimal"), 15)
         assert (configs[1].omega, configs[1].tau, configs[1].max_iters) == (1.0, 4, 7)
@@ -335,12 +336,17 @@ class TestCliCommands:
             '{"method": "basic", "omega": true}',
             '{"method": "basic", "omega": 1.0, "iterations": "12"}',
             '{"method": "accelerated", "omega": 1.0, "mu": "0.5"}',
-            # a label names the trace file, so it is unique, the default ones included
+            # a label names the trace file, so it is unique, the default ones included,
+            # and made of portable file-name characters
             '{"method": "basic", "omega": 0.5, "label": "basic-0"}',
+            '{"method": "basic", "omega": 0.5, "label": "a,b"}',
+            '{"method": "basic", "omega": 0.5, "label": ""}',
+            '{"method": "basic", "omega": 0.5, "label": "a/b"}',
+            '{"method": "basic", "omega": 0.5, "label": "a b"}',
         ],
     )
     def test_invalid_solver_specs_exit_two(self, tmp_path, capsys, solver):
-        # the bad spec follows a valid one: every spec is resolved before the first trace is written
+        # the bad spec follows a valid one: every spec is resolved before anything is written
         cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
         cfg["solvers"] = [{"method": "basic", "omega": 1.0}, "SOLVER"]
         path = tmp_path / "config.json"
@@ -355,7 +361,7 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: solvers[1]")
         assert "Traceback" not in proc.stderr
-        assert not list(out.glob("trace_*.csv"))
+        assert not out.exists()
         # validate reads the solver specs for its options, so it rejects them too
         assert main(["validate", str(path), "--output-dir", str(tmp_path / "v")]) == 2
         assert capsys.readouterr().err.startswith("error: solvers[1]")
@@ -375,6 +381,70 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert proc.stderr == "error: solvers[4].label: 'basic-optimal' is already the label of solvers[1]\n"
         assert not list(out.glob("trace_*.csv"))
+
+    def test_escaping_label_exits_two_and_writes_nothing(self, tmp_path):
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg["solvers"] = [{"method": "basic", "omega": 1.0, "label": "../../escaped"}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "run", str(path), "--output-dir", "a/out"],
+            capture_output=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: solvers[0].label: '../../escaped' must be one or more of")
+        assert not (tmp_path / "a" / "out").exists()
+        assert not (tmp_path / "a" / "escaped.csv").exists()
+
+    def test_label_with_a_dot_is_accepted(self, tmp_path):
+        path = write_config(tmp_path, solvers=[{"method": "basic", "omega": 1.0, "label": "basic-unit.v2"}])
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 0
+        assert (out / "trace_basic-unit.v2.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("route", ["config", "override"])
+    def test_negative_master_seed_exits_two(self, tmp_path, command, route):
+        path = write_config(tmp_path, seed=-1 if route == "config" else 20240801)
+        out = tmp_path / "out"
+        override = ["--seed", "-1"] if route == "override" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", command, str(path), "--output-dir", str(out), *override],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: <root>.seed: must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_checks_run_at_the_resolved_stepsize_and_tau(self, tmp_path):
+        # a policy sets the basic omega, and the parallel spec runs at its default tau
+        solvers = [{"method": "basic", "policy": "inverse-lambda-max"}, {"method": "parallel", "omega": 1.0}]
+        cfg = load_config(write_config(tmp_path, solvers=solvers))
+        problem, _ = build_problem(cfg)
+        spectrum = build_reformulation(problem, build_distribution(cfg, problem)).spectrum
+        options = _validation_options(cfg, build_solvers(cfg, spectrum))
+        assert (options.omega, options.tau) == (1.25, 1)
+
+    def test_checks_without_basic_or_parallel_solver_use_the_defaults(self, tmp_path):
+        options = _validation_options(load_config(write_config(tmp_path, solvers=[])), [])
+        assert (options.omega, options.tau) == (1.0, 2)
+
+    def test_out_of_regime_stepsize_is_noted(self, tmp_path, capsys):
+        # the divergent config of tests/test_run_artifacts.py, whose checks stay at omega = 1
+        cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())
+        cfg["solvers"][0]["omega"] = 1e100
+        cfg.update(replications=20, iterations=50)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "note: basic-unit steps at omega=1e+100, outside (0, 2); the checks run at omega=1.0\n"
+        )
 
     @pytest.mark.parametrize("command, iterations", [("run", 3), ("validate", 1), ("validate", 3)])
     def test_too_few_iterations_for_a_rate_fit_exit_two(self, tmp_path, command, iterations):

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from sketchsolve.cli import _validation_options
-from sketchsolve.config import load_config
+from sketchsolve.config import build_distribution, build_problem, build_solvers, load_config
+from sketchsolve.reformulation import build_reformulation
 from sketchsolve.validation import LIBRARY_CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,7 +30,10 @@ FIXTURE = Path(__file__).resolve().parent / "fixtures" / "library_checks.json"
 
 @functools.cache
 def compute() -> dict:
-    options = _validation_options(load_config(ROOT / "demos" / "reference_config.json"))
+    cfg = load_config(ROOT / "demos" / "reference_config.json")
+    problem, _ = build_problem(cfg)
+    spectrum = build_reformulation(problem, build_distribution(cfg, problem)).spectrum
+    options = _validation_options(cfg, build_solvers(cfg, spectrum))
     out = {}
     for name, check in LIBRARY_CHECKS.items():
         result = check(options)

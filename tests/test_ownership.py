@@ -2,11 +2,12 @@
 
 The enumerated support belongs to ``expected_Z`` (kept on the exact
 estimate's info; nothing asks for it again, and q comes from the
-distribution), the B = I decision to ``SpdMatrix.is_identity``, and the
+distribution), the B = I decision to ``SpdMatrix.is_identity``, the
 per-replication ||x_k - x*||_B^2 to the trajectory engine's
-``error_sq``.
+``error_sq``, and the raw solver specs to ``config.build_solvers``.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -137,3 +138,14 @@ def test_l2_moments_are_the_engine_error_sq(method, config):
     moments = monte_carlo_moments(problem, dist, config, 30, 15, reform=reform, method=method, x0=x0)
     traces = run_trajectories(problem, dist, config, method, range(30), x0=x0)
     assert np.array_equal(moments.l2_error, np.stack([t.error_sq for t in traces]).mean(axis=0))
+
+
+def test_only_config_reads_the_solver_specs():
+    # every solver field that reaches a trace, a file name or a check comes from config.build_solvers
+    readers = {
+        path.name
+        for path in Path(cli.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "solvers"
+    }
+    assert readers == {"config.py"}
