@@ -213,6 +213,8 @@ def build_problem(cfg: ExperimentConfig):
         args = [_get(spec, key, "problem", int, required=False) for key in needs]
         kwargs = {key: _get(spec, key, "problem", types) for key, types in optional.items() if key in spec}
         seed = _get(spec, "seed", "problem", int, required=False, default=cfg.seed)
+        if seed < 0:
+            raise ConfigError("problem.seed", f"must be non-negative, got {seed}")
         if None in args:
             raise ConfigError("problem", f"{kind} needs {' and '.join(needs)}")
         try:

@@ -7,10 +7,15 @@ so expectations can be computed without Monte Carlo.
 
 Structured sketches (fixed identity, coordinate, block, count families)
 are index sets: column j of S is ``signs[j] * e_{cols[j]}``, so S'A is a
-gather of signed rows of A and no dense m-by-q matrix is needed. A draw
-carries only ``cols`` and ``signs``; its dense ``matrix`` is built on
-first access. An enumerated support is one :class:`Support`: stacked
-``(N, q)`` column (and sign) arrays with ``(N,)`` probabilities.
+gather of signed rows of A and no dense m-by-q matrix is needed. Each
+index family states its law once, as ``draw(rng, count)``: ``(count, q)``
+columns and signs, bit-equal to ``count`` one-sketch draws in turn, so
+the trajectory engine draws a whole stream in one call. ``sample`` is
+the one-sketch case of ``draw``; only Gaussian, which is dense, has its
+own. A :class:`SketchSample` carries only ``cols`` and ``signs``; its
+dense ``matrix`` is built on first access. An enumerated support is one
+:class:`Support`: stacked ``(N, q)`` column (and sign) arrays with
+``(N,)`` probabilities.
 
 Streams are keyed by (master seed, stream ids...) through a Philox
 counter-based bit generator, so concurrent tasks can own disjoint
@@ -51,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_SUPPORT_CAP = 100_000
+# bytes of the arange(m) tile Block.draw permutes at once
+_TILE_BYTES = 1 << 20
 
 
 # numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx): a pool
@@ -328,13 +335,31 @@ def _multisets(alphabet_size: int, q: int, cap: int):
 
 
 class SketchDistribution:
-    """Base class: a distribution over sketching matrices with m rows and q columns."""
+    """Base class: a distribution over sketching matrices with m rows and q columns.
+
+    An index-set family states its law once, as :meth:`draw`, and
+    :meth:`sample` is its one-sketch case. A dense family has no index
+    law and overrides :meth:`sample` instead.
+    """
 
     m: int
     q: int
 
-    def sample(self, rng: np.random.Generator) -> SketchSample:
+    def draw(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """``count`` index-set sketches: ``(count, q)`` columns and signs.
+
+        Row k is the k-th sketch; signs are None when every sign is +1.
+        The rows equal ``count`` one-sketch draws in turn from the same
+        stream state, so ``draw(g, a)`` is the prefix of ``draw(g, b)``
+        from the same state for a < b, and two calls continue the stream
+        as one call does.
+        """
         raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator) -> SketchSample:
+        """One sketch: the one row of ``draw(rng, 1)``."""
+        cols, signs = self.draw(rng, 1)
+        return SketchSample(cols=cols[0], signs=None if signs is None else signs[0], m=self.m)
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP) -> Support | None:
         """Enumerated support, or None.
@@ -351,10 +376,10 @@ class FixedIdentity(SketchDistribution):
         if m < 1:
             raise ValueError("m must be positive")
         self.m = self.q = int(m)
-        self._atom = SketchSample(cols=range(self.m), m=self.m)
 
-    def sample(self, rng):
-        return self._atom
+    def draw(self, rng, count):
+        # the one atom; it consumes no draws
+        return np.broadcast_to(np.arange(self.m), (count, self.m)), None
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
         return Support(self.m, np.arange(self.m)[None, :], [1.0])
@@ -392,8 +417,9 @@ class Coordinate(SketchDistribution):
         """
         return self.indices(rng.random(count))
 
-    def sample(self, rng):
-        return SketchSample(cols=(int(self.indices(rng.random())),), m=self.m)
+    def draw(self, rng, count):
+        # one uniform per draw, mapped as sample_indices maps them
+        return self.indices(rng.random(count))[:, None], None
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
         rows = np.flatnonzero(self.probabilities > 0.0)
@@ -420,12 +446,18 @@ class Block(SketchDistribution):
         self.q = int(q)
         self.with_replacement = bool(with_replacement)
 
-    def sample(self, rng):
+    def draw(self, rng, count):
         if self.with_replacement:
-            cols = np.sort(rng.integers(0, self.m, size=self.q))
-        else:
-            cols = np.sort(rng.permutation(self.m)[: self.q])
-        return SketchSample(cols=cols, m=self.m)
+            return np.sort(rng.integers(0, self.m, size=(count, self.q)), axis=1), None
+        # each row the first q entries of a permutation(m); permuting the rows
+        # of an arange(m) tile in turn continues the stream as single
+        # permutations do, and a tile of at most _TILE_BYTES is filled at once
+        cols = np.empty((count, self.q), dtype=np.intp)
+        rows = max(1, _TILE_BYTES // (8 * self.m))
+        for start in range(0, count, rows):
+            tile = np.broadcast_to(np.arange(self.m), (min(rows, count - start), self.m))
+            cols[start : start + rows] = rng.permuted(tile, axis=1)[:, : self.q]
+        return np.sort(cols, axis=1), None
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
         if self.with_replacement:
@@ -466,9 +498,10 @@ class CountSketch(SketchDistribution):
         self.m = int(m)
         self.q = int(q)
 
-    def sample(self, rng):
-        j = rng.integers(0, 2 * self.m, size=self.q)
-        return SketchSample(cols=j % self.m, signs=np.where(j < self.m, 1, -1), m=self.m)
+    def draw(self, rng, count):
+        # j < m is +e_j, j >= m is -e_{j-m}
+        j = rng.integers(0, 2 * self.m, size=(count, self.q))
+        return j % self.m, np.where(j < self.m, 1, -1)
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
         stacked = _multisets(2 * self.m, self.q, cap)
@@ -490,8 +523,8 @@ class CountMin(SketchDistribution):
         self.m = int(m)
         self.q = int(q)
 
-    def sample(self, rng):
-        return SketchSample(cols=rng.integers(0, self.m, size=self.q), m=self.m)
+    def draw(self, rng, count):
+        return rng.integers(0, self.m, size=(count, self.q)), None
 
     def support(self, cap: int = DEFAULT_SUPPORT_CAP):
         stacked = _multisets(self.m, self.q, cap)

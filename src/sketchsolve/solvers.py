@@ -32,9 +32,12 @@ run at the first row within it; the steps past that row are dropped.
 A chunk's rows fit a byte budget. The per-step records are time-major
 (K+1, R) rows, transposed once at the end. A run that ``tol`` can stop
 early starts with short chunks that double, so a short solve steps
-little past its stop, and draws its Coordinate indices on demand, in
-blocks that double, so it draws only about what it uses, not
-``max_iters``.
+little past its stop, and draws its index sets on demand, in blocks
+that double, so it draws only about what it uses, not ``max_iters``.
+Every index-set family is drawn in bulk, a whole stream per call
+(Coordinate through :func:`uniforms`, the others through their
+``draw``), and steps on arrays of column indices; only dense Gaussian
+sketches are drawn one per stream and iteration.
 Trajectories are reproducible: each (replication, worker) pair owns a
 keyed counter-based stream, so a replication's trace does not depend on
 which other replications run beside it, nor on how its draws are chunked.
@@ -49,7 +52,16 @@ import numpy as np
 
 from .linalg import Problem, _as_vector, _readonly, _svd_pinv, _symmetrize, pseudoinverse
 from .reformulation import Spectrum
-from .sketching import Coordinate, SketchDistribution, SketchSample, generator, stream_keys, uniforms
+from .sketching import (
+    Coordinate,
+    Gaussian,
+    SketchDistribution,
+    SketchSample,
+    _rekeyed,
+    generator,
+    stream_keys,
+    uniforms,
+)
 
 __all__ = [
     "TRAJECTORY_STREAM",
@@ -202,35 +214,30 @@ class Workspace:
         step = ((coef * (omega / cols.shape[1]))[:, None, :] @ self.binv_rows[cols])[:, 0, :]
         return np.subtract(x, step, out=out), 0.5 * y[:, 0] * coef[:, 0]
 
-    def general_step(self, x: np.ndarray, sketches, omega: float, out=None):
+    def general_step(self, x: np.ndarray, sketches: np.ndarray, omega: float, out=None):
         """Averaged sketched steps for one iteration, all rows of x at once.
 
-        ``x`` is (R, n) and ``sketches`` holds R groups of tau sketches, all
-        index sets or all dense, all with the same q; row r of the result
-        is the mean of the steps from x[r] with the sketches of group r.
-        Returns (x_next, sketch_loss), the loss of each row's first step;
-        ``x_next`` is written to ``out`` when given.
+        ``x`` is (R, n) and ``sketches`` is an (R, tau, q) integer array of
+        index-set columns or an (R, tau, m, q) stack of dense sketches; row
+        r of the result is the mean of the tau steps from x[r] with the
+        sketches of row r. Returns (x_next, sketch_loss), the loss of each
+        row's first step; ``x_next`` is written to ``out`` when given.
 
         An index-set sketch gathers its rows: S'A = A[cols] and
-        S'(Ax - b) = (Ax - b)[cols]. Column signs are dropped because
+        S'(Ax - b) = (Ax - b)[cols]. Column signs take no part because
         D (D G D)^+ D = G^+ for a diagonal sign matrix D, and a one-column
         set takes the closed-form step. A dense sketch is multiplied out.
         Every q-by-q gram of the (R, tau) stack is pseudo-inverted at the
         cutoff of :func:`pseudoinverse`.
         """
-        flat = [sketch for group in sketches for sketch in group]
-        kinds = {(len(group), sketch.cols is None, sketch.q) for group in sketches for sketch in group}
-        if len(kinds) != 1:
-            raise ValueError(f"groups must share one size, kind and q; got (tau, dense, q) in {sorted(kinds)}")
-        ((tau, dense, q),) = kinds
-        if dense:
-            s = np.array([sketch.matrix for sketch in flat]).reshape(len(sketches), tau, -1, q)
-            s_t = s.swapaxes(-1, -2)
-            v = self.binv_at @ s
+        tau, q = sketches.shape[1], sketches.shape[-1]
+        if sketches.ndim == 4:
+            s_t = sketches.swapaxes(-1, -2)
+            v = self.binv_at @ sketches
             gram = s_t @ (self.A @ v)
             y = (s_t @ (self.A @ x[:, :, None] - self.b[:, None])[:, None])[..., 0]
         else:
-            cols = np.array([sketch.cols for sketch in flat]).reshape(len(sketches), tau, q)
+            cols = sketches
             rows = self.A[cols]
             y = (rows @ x[:, None, :, None])[..., 0] - self.b[cols]
             if q == 1:
@@ -257,6 +264,21 @@ def workspace(problem: Problem) -> Workspace:
     return ws
 
 
+def _stack_sketches(groups) -> np.ndarray:
+    """R groups of tau :class:`SketchSample` as the one array :meth:`Workspace.general_step` takes.
+
+    Index sets give their (R, tau, q) columns and dense sketches their
+    (R, tau, m, q) matrices; the groups must share one size, kind and q.
+    """
+    kinds = {(len(group), sketch.cols is None, sketch.q) for group in groups for sketch in group}
+    if len(kinds) != 1:
+        raise ValueError(f"groups must share one size, kind and q; got (tau, dense, q) in {sorted(kinds)}")
+    ((tau, dense, q),) = kinds
+    if dense:
+        return np.array([sketch.matrix for group in groups for sketch in group]).reshape(len(groups), tau, -1, q)
+    return np.array([sketch.cols for group in groups for sketch in group]).reshape(len(groups), tau, q)
+
+
 def basic_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.ndarray:
     """One step of the basic method from x with the given sketch."""
     return parallel_step(problem, x, [sketch], omega)
@@ -267,7 +289,7 @@ def parallel_step(problem: Problem, x, sketches, omega: float) -> np.ndarray:
     if len(sketches) < 1:
         raise ValueError("need at least one sketch")
     rows = _as_vector(x, problem.n)[None]
-    return workspace(problem).general_step(rows, [list(sketches)], float(omega))[0][0]
+    return workspace(problem).general_step(rows, _stack_sketches([list(sketches)]), float(omega))[0][0]
 
 
 def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.ndarray:
@@ -311,20 +333,23 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
     """The step (x, k, out) -> first sketch loss of iteration k.
 
     It writes the mean sketched step from x to ``out``: rows x (n,) for
-    one replication, (R, n) blocks for more. Coordinate sampling maps the
-    uniforms of all R x tau streams, drawn through one re-keyed Philox
-    generator (:func:`uniforms`), to row indices with one
-    ``searchsorted``. A run that ``config.tol`` can stop early draws
-    them on demand: ``_FIRST_DRAWS`` per stream, then, whenever they run
-    out, a redraw from counter 0 at double the length (capped at
-    ``max_iters``) of which only the new part is mapped. A redraw repeats
-    the earlier uniforms bit for bit, so the indices are those of one
-    draw. Other runs draw all ``max_iters`` at once. One stream takes the
-    one-row :meth:`Workspace.coordinate_step` on Python integers; more
-    take it stacked. Other distributions build one generator per stream
-    and draw the R x tau sketches of each iteration from them; these, or
-    the given ``samples`` (one replication), take one stacked
-    :meth:`Workspace.general_step` per iteration.
+    one replication, (R, n) blocks for more. Index-set families draw the
+    sketches of all R x tau streams up front, stream by stream, through
+    one re-keyed Philox generator: Coordinate sampling maps the uniforms
+    of :func:`uniforms` to row indices with one ``searchsorted``, and
+    every other family takes its ``draw`` law. A run that ``config.tol``
+    can stop early draws on demand: ``_FIRST_DRAWS`` per stream, then,
+    whenever they run out, a redraw from counter 0 at double the length
+    (capped at ``max_iters``) of which only the new part is kept. A
+    redraw repeats the earlier draws bit for bit, so the sketches are
+    those of one draw. Other runs draw all ``max_iters`` at once.
+    Coordinate sketches take :meth:`Workspace.coordinate_step`, on Python
+    integers for one stream and stacked for more; other index sets take
+    the stacked :meth:`Workspace.general_step` on their (R, tau, q)
+    columns. Gaussian sketches, which are dense, are drawn per iteration
+    from one generator per stream; these, or the given ``samples`` (one
+    replication), take one stacked :meth:`Workspace.general_step` per
+    iteration.
     """
     omega, k_max = config.omega, config.max_iters
 
@@ -343,23 +368,35 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
         for k, group in enumerate(groups):
             if len(group) != tau:
                 raise ValueError(f"iteration {k}: expected {tau} sketches, got {len(group)}")
-        return lambda x, k, out: stacked(ws.general_step, x, [groups[k]], out)
+        sketches = [_stack_sketches([group]) for group in groups]
+        return lambda x, k, out: stacked(ws.general_step, x, sketches[k], out)
     keys = stream_keys(
         config.master_seed, TRAJECTORY_STREAM, np.asarray(replications)[:, None], np.arange(tau)
     )
-    if not isinstance(dist, Coordinate):
+    if isinstance(dist, Gaussian):
         sources = [[generator(key) for key in row] for row in keys]
         return lambda x, k, out: stacked(
-            ws.general_step, x, [[dist.sample(g) for g in row] for row in sources], out
+            ws.general_step, x, _stack_sketches([[dist.sample(g) for g in row] for row in sources]), out
         )
 
-    one = keys.size == 2
+    if isinstance(dist, Coordinate):
+        kernel, one = ws.coordinate_step, keys.size == 2
 
-    def draw(start, stop):
-        # (R, tau, stop) uniforms; searchsorted writes the (stop - start, R, tau)
-        # indices contiguously
-        block = dist.indices(uniforms(keys, stop)[..., start:].transpose(2, 0, 1))
-        return block.reshape(-1).tolist() if one else list(block)
+        def draw(start, stop):
+            # (R, tau, stop) uniforms; searchsorted writes the (stop - start, R, tau)
+            # indices contiguously
+            block = dist.indices(uniforms(keys, stop)[..., start:].transpose(2, 0, 1))
+            return block.reshape(-1).tolist() if one else list(block)
+
+    else:
+        kernel, one, streams = ws.general_step, False, keys.reshape(-1, 2)
+
+        def draw(start, stop):
+            # each stream's columns from counter 0, kept from start as (stop - start, R, tau, q)
+            block = np.empty((stop - start, len(streams), dist.q), dtype=np.intp)
+            for i, rng in enumerate(_rekeyed(streams)):
+                block[:, i] = dist.draw(rng, stop)[0][start:]
+            return list(block.reshape(stop - start, *keys.shape[:-1], dist.q))
 
     cols = draw(0, k_max if config.tol is None else min(k_max, _FIRST_DRAWS))
 
@@ -368,7 +405,7 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
             cols.extend(draw(k, min(2 * k, k_max)))
         if one:
             return ws.coordinate_step(x, cols[k], omega, out)[1]
-        return stacked(ws.coordinate_step, x, cols[k], out)
+        return stacked(kernel, x, cols[k], out)
 
     return step
 

@@ -1,8 +1,8 @@
 """The library names the benchmark tracer hooks into still exist.
 
 ``bench/tracing.py`` wraps attributes of sketchsolve by name, among them
-the two step kernels, ``Coordinate.sample_indices``, every family's
-``sample`` and ``reformulation.check_exactness``; renaming one would
+the two step kernels, ``Coordinate.sample_indices``, ``sample`` where a
+class defines it and ``reformulation.check_exactness``; renaming one would
 break a traced benchmark run. These tests install a tracer, run one tiny
 basic-method solve through each step kernel or one exactness verdict,
 and check that each hook was counted and that restoring puts every
@@ -24,15 +24,9 @@ HOOKS = [
     (solvers.Workspace, "coordinate_step"),
     (sketching.Coordinate, "sample_indices"),
 ] + [
+    # index families inherit sample from the base class; only Gaussian has its own
     (cls, "sample")
-    for cls in (
-        sketching.FixedIdentity,
-        sketching.Coordinate,
-        sketching.Block,
-        sketching.Gaussian,
-        sketching.CountSketch,
-        sketching.CountMin,
-    )
+    for cls in (sketching.SketchDistribution, sketching.Gaussian)
 ]
 
 

@@ -421,6 +421,19 @@ class TestCliCommands:
         assert proc.stderr == "error: <root>.seed: must be non-negative, got -1\n"
         assert not out.exists()
 
+    def test_negative_problem_seed_names_its_field(self, tmp_path):
+        path = write_config(tmp_path, problem={"kind": "gaussian-consistent", "rows": 10, "cols": 2, "seed": -1})
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "diagnose", str(path), "--output-dir", str(tmp_path / "o")],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: problem.seed:")
+        assert proc.stderr == "error: problem.seed: must be non-negative, got -1\n"
+        assert "Traceback" not in proc.stderr
+
     def test_checks_run_at_the_resolved_stepsize_and_tau(self, tmp_path):
         # a policy sets the basic omega, and the parallel spec runs at its default tau
         solvers = [{"method": "basic", "policy": "inverse-lambda-max"}, {"method": "parallel", "omega": 1.0}]

@@ -4,7 +4,9 @@ The enumerated support belongs to ``expected_Z`` (kept on the exact
 estimate's info; nothing asks for it again, and q comes from the
 distribution), the B = I decision to ``SpdMatrix.is_identity``, the
 per-replication ||x_k - x*||_B^2 to the trajectory engine's
-``error_sq``, and the raw solver specs to ``config.build_solvers``.
+``error_sq``, the raw solver specs to ``config.build_solvers``, and an
+index family's sketches to its ``draw``: the engine steps on the drawn
+columns and builds no ``SketchSample``.
 """
 
 import ast
@@ -18,7 +20,16 @@ from sketchsolve import cli
 from sketchsolve.analysis import monte_carlo_moments
 from sketchsolve.linalg import Problem, SpdMatrix
 from sketchsolve.reformulation import build_reformulation, expected_Z
-from sketchsolve.sketching import DEFAULT_SUPPORT_CAP, Block, Coordinate, Gaussian
+from sketchsolve.sketching import (
+    DEFAULT_SUPPORT_CAP,
+    Block,
+    Coordinate,
+    CountMin,
+    CountSketch,
+    FixedIdentity,
+    Gaussian,
+    SketchSample,
+)
 from sketchsolve.solvers import SolverConfig, run_trajectories
 from sketchsolve.validation import ValidationOptions, run_validation
 
@@ -138,6 +149,28 @@ def test_l2_moments_are_the_engine_error_sq(method, config):
     moments = monte_carlo_moments(problem, dist, config, 30, 15, reform=reform, method=method, x0=x0)
     traces = run_trajectories(problem, dist, config, method, range(30), x0=x0)
     assert np.array_equal(moments.l2_error, np.stack([t.error_sq for t in traces]).mean(axis=0))
+
+
+@pytest.mark.parametrize("method", ["basic", "parallel", "accelerated"])
+@pytest.mark.parametrize(
+    "dist", [Block(12, 3), Block(12, 3, True), CountSketch(12, 2), CountMin(12, 2), FixedIdentity(12)], ids=repr
+)
+def test_index_families_step_on_their_drawn_columns(monkeypatch, dist, method):
+    # each family's draw owns its sketches; the engine builds no SketchSample from them
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((12, 7))
+    problem = Problem(a, a @ rng.standard_normal(7))
+    built = []
+    init = SketchSample.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SketchSample, "__init__", counting)
+    config = SolverConfig(omega=1.0, max_iters=10, master_seed=4, tau=2, gamma=1.2, tol=1e-3)
+    run_trajectories(problem, dist, config, method, range(3))
+    assert built == []
 
 
 def test_only_config_reads_the_solver_specs():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sketchsolve import sketching
 from sketchsolve.sketching import (
     Block,
     Coordinate,
@@ -219,6 +220,87 @@ class TestUniforms:
         for r in range(6):
             for i in range(tau):
                 assert np.array_equal(rows[r, i], dist.sample_indices(generator(keys[r, i]), 50)), (r, i)
+
+
+def _one_sketch_laws():
+    """(family, per-call law): each law is the one-sketch draw each family
+    made before it stated its law as a bulk ``draw``, giving (cols, signs)."""
+
+    def countsketch(rng, m, q):
+        j = rng.integers(0, 2 * m, size=q)
+        return j % m, np.where(j < m, 1, -1)
+
+    coordinate = Coordinate([0.1, 0.5, 0.15, 0.25])
+    return [
+        (Block(9, 4), lambda rng: (np.sort(rng.permutation(9)[:4]), None)),
+        (Block(5, 5), lambda rng: (np.sort(rng.permutation(5)[:5]), None)),
+        (Block(9, 4, with_replacement=True), lambda rng: (np.sort(rng.integers(0, 9, size=4)), None)),
+        (CountSketch(6, 3), lambda rng: countsketch(rng, 6, 3)),
+        (CountSketch(6, 1), lambda rng: countsketch(rng, 6, 1)),
+        (CountMin(7, 3), lambda rng: (rng.integers(0, 7, size=3), None)),
+        (FixedIdentity(4), lambda rng: (np.arange(4), None)),
+        (coordinate, lambda rng: (np.array([coordinate.indices(rng.random())]), None)),
+    ]
+
+
+LAWS = _one_sketch_laws()
+LAW_IDS = [repr(dist) for dist, _ in LAWS]
+
+
+def _same_draw(got, want):
+    (cols, signs), (want_cols, want_signs) = got, want
+    assert np.array_equal(cols, want_cols)
+    assert (signs is None) == (want_signs is None)
+    if signs is not None:
+        assert np.array_equal(signs, want_signs)
+
+
+class TestDrawLaws:
+    """Each index family's bulk ``draw`` is its one-sketch law, repeated."""
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    @pytest.mark.parametrize("dist, law", LAWS, ids=LAW_IDS)
+    def test_draw_equals_repeated_one_sketch_law(self, dist, law, seed):
+        count = 24
+        bulk, single = stream(seed, 3), stream(seed, 3)
+        cols, signs = dist.draw(bulk, count)
+        assert cols.shape == (count, dist.q) and (signs is None or signs.shape == cols.shape)
+        laws = [law(single) for _ in range(count)]
+        want_signs = None if laws[0][1] is None else np.array([s for _, s in laws])
+        _same_draw((cols, signs), (np.array([c for c, _ in laws]), want_signs))
+        # both streams stand at the same state afterwards
+        assert bulk.random() == single.random()
+
+    @pytest.mark.parametrize("dist, law", LAWS, ids=LAW_IDS)
+    def test_sample_is_the_first_draw(self, dist, law):
+        cols, signs = law(stream(5, 1))
+        sample = dist.sample(stream(5, 1))
+        assert sample.cols == tuple(int(c) for c in cols) and sample.m == dist.m
+        assert sample.signs == (None if signs is None else tuple(int(s) for s in signs))
+
+    @pytest.mark.parametrize("dist, law", LAWS, ids=LAW_IDS)
+    def test_a_shorter_draw_is_a_prefix_and_two_calls_continue_one(self, dist, law):
+        for a, b in [(1, 2), (5, 12), (12, 64)]:
+            short, (cols, signs) = dist.draw(stream(11, 2), a), dist.draw(stream(11, 2), b)
+            _same_draw(short, (cols[:a], None if signs is None else signs[:a]))
+            rng = stream(11, 2)
+            first, second = dist.draw(rng, a), dist.draw(rng, b - a)
+            joined = [np.concatenate([x, y]) if x is not None else None for x, y in zip(first, second)]
+            _same_draw(tuple(joined), (cols, signs))
+
+    @pytest.mark.parametrize("dist, law", LAWS, ids=LAW_IDS)
+    def test_rekeyed_draws_equal_fresh_generators(self, dist, law):
+        keys = stream_keys(31, 202, np.arange(4)[:, None], np.arange(3)).reshape(-1, 2)
+        for k, rng in enumerate(_rekeyed(keys)):
+            _same_draw(dist.draw(rng, 10), dist.draw(generator(keys[k]), 10))
+        assert k == len(keys) - 1
+
+    def test_block_tiles_continue_the_stream(self, monkeypatch):
+        # a tile of two rows at a time gives the draw of one tile
+        dist = Block(9, 4)
+        want = dist.draw(stream(7, 4), 11)
+        monkeypatch.setattr(sketching, "_TILE_BYTES", 2 * 8 * 9)
+        _same_draw(dist.draw(stream(7, 4), 11), want)
 
 
 class TestFixedIdentity:

@@ -19,6 +19,7 @@ from sketchsolve.sketching import (
 from sketchsolve.solvers import (
     SolverConfig,
     Workspace,
+    _stack_sketches,
     acceleration_parameters,
     basic_step,
     parallel_step,
@@ -112,7 +113,7 @@ class TestGeneralStep:
                 sketch = dist.sample(rng)
                 assert sketch.cols is not None
                 omega = float(rng.uniform(0.2, 1.9))
-                x_next, loss = ws.general_step(x[None], [[sketch]], omega)
+                x_next, loss = ws.general_step(x[None], _stack_sketches([[sketch]]), omega)
                 dense_next, dense_loss = self.dense_step(problem, x, sketch, omega)
                 scale = max(np.linalg.norm(x), np.linalg.norm(dense_next))
                 assert np.linalg.norm(x_next - dense_next) <= 1e-12 * scale
@@ -130,7 +131,7 @@ class TestGeneralStep:
             for dist in (CountSketch(m, 3), CountSketch(m, 1), Block(m, q), Gaussian(m, 2)):
                 groups = [[dist.sample(rng) for _ in range(2)] for _ in range(2)]
                 omega = float(rng.uniform(0.2, 1.9))
-                x_next, loss = ws.general_step(x, groups, omega)
+                x_next, loss = ws.general_step(x, _stack_sketches(groups), omega)
                 assert x_next.shape == x.shape and loss.shape == (2,)
                 for r, group in enumerate(groups):
                     steps = [self.dense_step(problem, x[r], sketch, omega) for sketch in group]
@@ -146,9 +147,9 @@ class TestGeneralStep:
         index = SketchSample(cols=(0, 1), m=problem.m)
         for other in (SketchSample(cols=(0,), m=problem.m), SketchSample(index.matrix.copy())):
             with pytest.raises(ValueError):
-                ws.general_step(x, [[index, other]], 1.0)
+                _stack_sketches([[index, other]])
         with pytest.raises(ValueError):  # groups of different sizes
-            ws.general_step(np.zeros((2, problem.n)), [[index], [index, index]], 1.0)
+            _stack_sketches([[index], [index, index]])
 
 
 class TestRunBasic:

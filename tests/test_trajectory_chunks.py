@@ -7,7 +7,9 @@ These tests pin that a ``tol`` run which stops inside a chunk equals, bit
 for bit, the run whose budget is that iteration count, that a start
 already within ``tol`` takes no step, that stops on either side of a
 draw boundary keep the on-demand draw bound, and that the chunk length
-rule keeps a chunk within its byte budget.
+rule keeps a chunk within its byte budget. The first two hold under
+Kaczmarz sampling, whose uniforms are drawn on demand, and under the
+Block and CountSketch families, whose ``draw`` is called on demand.
 """
 
 import functools
@@ -18,7 +20,7 @@ import pytest
 from sketchsolve import solvers
 from sketchsolve.linalg import Problem, SpdMatrix
 from sketchsolve.problems import gaussian_consistent
-from sketchsolve.sketching import kaczmarz_distribution, stream, uniforms
+from sketchsolve.sketching import Block, CountSketch, kaczmarz_distribution, stream, uniforms
 from sketchsolve.solvers import SolverConfig, run_trajectories
 
 SEED = 11
@@ -33,6 +35,14 @@ def setup(dense: bool):
     problem = Problem(a, b, metric)
     x0 = rng.standard_normal(12)
     return problem, kaczmarz_distribution(a), x0, x0 + 0.1 * rng.standard_normal(12)
+
+
+FAMILIES = ["kaczmarz", "block", "countsketch"]
+
+
+def distribution(family, dense: bool):
+    problem, kaczmarz, _, _ = setup(dense)
+    return {"kaczmarz": kaczmarz, "block": Block(problem.m, 3), "countsketch": CountSketch(problem.m, 3)}[family]
 
 
 def _start_error(problem, x0):
@@ -60,8 +70,10 @@ def _is_chunk_end(k: int) -> bool:
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("reps", [(0,), (0, 1, 2)])
 @pytest.mark.parametrize("method", ["basic", "parallel", "accelerated"])
-def test_tol_stop_inside_a_chunk_equals_the_budget_run(method, reps, dense, record):
-    problem, dist, x0, x1 = setup(dense)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tol_stop_inside_a_chunk_equals_the_budget_run(family, method, reps, dense, record):
+    problem, _, x0, x1 = setup(dense)
+    dist = distribution(family, dense)
 
     def config(**kwargs):
         return SolverConfig(omega=1.0, tau=2, gamma=1.2, master_seed=SEED, record=record, **kwargs)
@@ -103,19 +115,31 @@ def test_start_within_tol_takes_no_step(monkeypatch, method, reps):
 
 @pytest.mark.parametrize("method, reps", [("basic", (0,)), ("parallel", (0, 1, 2))])
 @pytest.mark.parametrize("stop", [63, 64, 65, 129])
-def test_stops_around_draw_boundaries_keep_the_draw_bound(monkeypatch, method, reps, stop):
-    problem, dist, x0, _ = setup(False)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stops_around_draw_boundaries_keep_the_draw_bound(monkeypatch, family, method, reps, stop):
+    problem, _, x0, _ = setup(False)
+    dist = distribution(family, False)
     # under relaxation no step leaves the error as it was, so tol first holds at `stop`
     free = SolverConfig(omega=0.9, tau=2, max_iters=200, master_seed=SEED)
     worst = np.max([t.error_sq for t in run_trajectories(problem, dist, free, method, reps, x0)], axis=0)
     assert np.all(np.diff(worst[: stop + 1]) < 0.0)
     counts = []
 
-    def recording(keys, count):
-        counts.append(count)
-        return uniforms(keys, count)
+    if family == "kaczmarz":
 
-    monkeypatch.setattr(solvers, "uniforms", recording)
+        def recording(keys, count):
+            counts.append(count)
+            return uniforms(keys, count)
+
+        monkeypatch.setattr(solvers, "uniforms", recording)
+    else:
+        draw = type(dist).draw
+
+        def recording(self, rng, count):
+            counts.append(count)
+            return draw(self, rng, count)
+
+        monkeypatch.setattr(type(dist), "draw", recording)
     config = SolverConfig(
         omega=0.9, tau=2, max_iters=5000, master_seed=SEED, tol=float(np.sqrt(worst[stop]))
     )
