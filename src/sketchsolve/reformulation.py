@@ -22,7 +22,9 @@ needs only its q-by-q gram G = C B^{-1} C' and Z = C' G^+ C. A finite
 support is processed as stacked (N, q, n) row blocks in chunks of
 bounded size: batched grams and pseudoinverses, then E[Z] as one
 contraction per chunk and E[H] as a scatter-add of the q-by-q blocks
-p G^+.
+p G^+. A Monte Carlo E[Z] over an index family takes all its sketches
+from one ``draw`` call and stacks their rows and grams the same way,
+with one Z and one running-mean update per draw, in draw order.
 ``sketched_system`` builds the full per-sketch operators and is the
 reference the expectations are tested against.
 """
@@ -44,7 +46,7 @@ from .linalg import (
     pseudoinverse,
     sym_eigendecomposition,
 )
-from .sketching import DEFAULT_SUPPORT_CAP, SketchDistribution, SketchSample, Support, stream
+from .sketching import DEFAULT_SUPPORT_CAP, Gaussian, SketchDistribution, SketchSample, Support, stream
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -181,13 +183,18 @@ def _sketched_rows(a: np.ndarray, sketch: SketchSample) -> np.ndarray:
     return (sketch.matrix.T @ a if sketch.cols is None else a[list(sketch.cols)])[None]
 
 
-def _gram_pinvs(rows: np.ndarray, metric: SpdMatrix) -> np.ndarray:
+def _gram_pinvs(rows: np.ndarray, metric: SpdMatrix, per_block: bool = False) -> np.ndarray:
     """(C B^{-1} C')^+ for each (q, n) block C of an (..., q, n) stack, symmetrized.
 
-    Uses the cutoff of :func:`pseudoinverse` on every q-by-q gram.
+    Uses the cutoff of :func:`pseudoinverse` on every q-by-q gram. The
+    C B^{-1} products are one product of all the stacked rows, or with
+    ``per_block`` one per block, on the operands a lone block gives it.
     """
     q, n = rows.shape[-2:]
-    binv_rows = (rows.reshape(-1, n) @ metric.inv).reshape(rows.shape)
+    if per_block:
+        binv_rows = rows @ metric.inv
+    else:
+        binv_rows = (rows.reshape(-1, n) @ metric.inv).reshape(rows.shape)
     gram = _symmetrize(rows @ np.swapaxes(binv_rows, -1, -2))
     return _symmetrize(_svd_pinv(gram, np.finfo(float).eps * q))
 
@@ -203,6 +210,28 @@ def _support_chunks(a: np.ndarray, metric: SpdMatrix, support: Support):
         cols = support.cols[lo : lo + step]
         rows = a[cols]
         yield cols, support.probs[lo : lo + step], rows, _gram_pinvs(rows, metric)
+
+
+def _drawn_blocks(a: np.ndarray, metric: SpdMatrix, dist: SketchDistribution, rng, count: int):
+    """Yield (rows, gram pinv) of ``count`` draws from ``rng``, one (1, q, n) and (1, q, q) pair per draw.
+
+    An index family takes every draw from one ``draw`` call, bit-equal to
+    ``count`` calls of ``sample``, and gathers rows and pseudo-inverts
+    grams in stacked chunks of bounded size, each product on the operands
+    one draw gives it alone. Gaussian sketches are sampled one at a time.
+    """
+    if isinstance(dist, Gaussian):
+        for _ in range(count):
+            rows = _sketched_rows(a, dist.sample(rng))
+            yield rows, _gram_pinvs(rows, metric)
+        return
+    cols = dist.draw(rng, count)[0]
+    step = max(1, _CHUNK_BYTES // (8 * dist.q * a.shape[1]))
+    for lo in range(0, count, step):
+        rows = a[cols[lo : lo + step]]
+        gram_pinv = _gram_pinvs(rows, metric, per_block=True)
+        for k in range(len(rows)):
+            yield rows[k : k + 1], gram_pinv[k : k + 1]
 
 
 def _weighted_z_sum(rows: np.ndarray, gram_pinv: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -250,9 +279,9 @@ def expected_Z(
     mean = np.zeros((n, n))
     m2 = np.zeros_like(mean)
     one = np.ones(1)
-    for k in range(1, n_samples + 1):
-        rows = _sketched_rows(a, dist.sample(rng))
-        z = _symmetrize(_weighted_z_sum(rows, _gram_pinvs(rows, metric), one))
+    # one Welford update per draw, in draw order
+    for k, (rows, gram_pinv) in enumerate(_drawn_blocks(a, metric, dist, rng, n_samples), start=1):
+        z = _symmetrize(_weighted_z_sum(rows, gram_pinv, one))
         delta = z - mean
         mean += delta / k
         m2 += delta * (z - mean)

@@ -20,24 +20,32 @@ f_S(z) + (1-omega)/(2 omega) ||z - x||_B^2.
 
 One trajectory engine, :func:`run_trajectories`, runs every method: it
 steps all replications in lockstep as one (R, n) array (one replication
-as a row vector), by :meth:`Workspace.coordinate_step` under Coordinate
-sampling and else by the stacked :meth:`Workspace.general_step`, which
-the single steps share. Its loop takes the sketched step alone, a chunk
-of iterations at a time: x_{k+1} goes straight into its row of the
-iterate block (or of one reused chunk buffer when iterates are not
-recorded). After each chunk, the error norms and step lengths of all
-its rows are taken in bulk by :meth:`Workspace.norms_sq`, bit-equal to
-the vector products of one iteration, and the ``tol`` test stops the
-run at the first row within it; the steps past that row are dropped.
-A chunk's rows fit a byte budget. The per-step records are time-major
-(K+1, R) rows, transposed once at the end. A run that ``tol`` can stop
-early starts with short chunks that double, so a short solve steps
-little past its stop, and draws its index sets on demand, in blocks
-that double, so it draws only about what it uses, not ``max_iters``.
-Every index-set family is drawn in bulk, a whole stream per call
-(Coordinate through :func:`uniforms`, the others through their
-``draw``), and steps on arrays of column indices; only dense Gaussian
-sketches are drawn one per stream and iteration.
+as a row vector), a chunk of iterations at a time. Its step kernels,
+:meth:`Workspace.coordinate_step` under Coordinate sampling and else the
+stacked :meth:`Workspace.general_step` (which the single steps share, as
+one-iteration chunks), each take a whole chunk's sketches: one stacked
+pass computes what the sketches alone fix (gathered rows, b[cols],
+grams and their pseudoinverses), then a loop over the chunk's
+iterations computes only the products with x, each on the operands a
+one-iteration call gives it, so no trace depends on the chunking. One
+replication under Coordinate sampling loops on Python floats and cached
+row views. x_{k+1} goes straight into its row of the iterate block (or
+of one reused chunk buffer when iterates are not recorded). After each
+chunk, the error norms and step lengths of all its rows are taken in
+bulk by :meth:`Workspace.norms_sq`, bit-equal to the vector products of
+one iteration, and the ``tol`` test stops the run at the first row
+within it; the steps past that row are dropped. A chunk's rows fit a
+byte budget, and so does the largest stack of one kernel call. The
+per-step records are time-major (K+1, R) rows, transposed once at the
+end. A run that ``tol`` can stop early starts with short chunks that
+double, so a short solve steps little past its stop, and draws its index
+sets on demand, in blocks that double, so it draws only about what it
+uses, not ``max_iters``. Every index-set family is drawn in bulk, a
+whole stream per call (Coordinate through :func:`uniforms`, the others
+through their ``draw``), and steps on arrays of column indices; only
+dense Gaussian sketches are drawn one per stream and iteration.
+The accelerated method steps one iteration per kernel call, because
+each of its steps starts from a combination of the last two.
 Trajectories are reproducible: each (replication, worker) pair owns a
 keyed counter-based stream, so a replication's trace does not depend on
 which other replications run beside it, nor on how its draws are chunked.
@@ -86,9 +94,11 @@ _EPS = np.finfo(float).eps
 # draws per stream before a run that tol can stop early asks for more
 _FIRST_DRAWS = 64
 # iterations run in chunks whose iterate rows fit in _CHUNK_BYTES (at most
-# _MAX_CHUNK); norms and the tol test run once per chunk. A run that tol can
-# stop early starts at _FIRST_CHUNK and doubles, so a short solve steps little
-# past its stop, and every chunk end from _FIRST_DRAWS on is a draw boundary.
+# _MAX_CHUNK); norms and the tol test run once per chunk, and one kernel call's
+# largest stack fits _CHUNK_BYTES too (or the call steps one iteration). A run
+# that tol can stop early starts at _FIRST_CHUNK and doubles, so a short solve
+# steps little past its stop, and every chunk end from _FIRST_DRAWS on is a
+# draw boundary.
 _CHUNK_BYTES = 1 << 16
 _MAX_CHUNK = 64
 _FIRST_CHUNK = 8
@@ -171,8 +181,9 @@ class Workspace:
         self.row_gram = _readonly(np.einsum("ij,ji->i", problem.A, self.binv_at))
         # a row with a zero gram takes no step: y / inf = 0
         self._step_gram = _readonly(np.where(self.row_gram > 0.0, self.row_gram, np.inf))
-        # the one-row step reads b and the grams as floats
+        # the one-row loop reads b and the grams as floats, and rows of A and B^{-1}A' as cached views
         self._b_list, self._gram_list = self.b.tolist(), self._step_gram.tolist()
+        self._a_rows, self._v_rows = list(self.A), list(self.binv_rows)
         # e @ I is e exactly, so B = I skips that product
         self._metric = None if problem.metric.is_identity else problem.metric.mat
 
@@ -194,62 +205,93 @@ class Workspace:
         return (be[..., None, :] @ e[..., :, None])[..., 0, 0]
 
     def coordinate_step(self, x: np.ndarray, cols, omega: float, out=None):
-        """Averaged steps for S = e_{cols[r, i]}, all rows of x at once.
+        """A chunk of averaged steps for S = e_i, all rows of x at once.
 
-        ``x`` is (R, n) and ``cols`` is (R, tau); row r of the result is
-        the mean over i of the steps from x[r] with S = e_{cols[r, i]}.
-        Returns (x_next, sketch_loss), the loss of each row's first step;
-        ``x_next`` is written to ``out`` when given. A row vector ``x``
-        takes the one step S = e_cols for an integer ``cols``, with a
-        float loss.
+        ``x`` is the (R, n) start and ``cols`` the chunk's (c, R, tau)
+        row indices. Iteration j steps from the previous iterate (x for
+        j = 0): row r becomes the mean over i of its steps with
+        S = e_{cols[j, r, i]}, written to ``out[j]``. Returns (out, loss),
+        with the (c, R) loss of each row's first step. A row vector
+        ``x`` takes c single steps, ``cols`` being c integers, and the
+        loss is a list of c floats.
+
+        The gathers that depend on the indices alone are taken once for
+        the chunk; each iteration computes only the products with x.
         """
+        c = len(cols)
+        out = np.empty((c, *x.shape)) if out is None else out
         if x.ndim == 1:
-            # vector products on floats, bitwise equal to the stacked ones
-            y = float(self.A[cols].dot(x)) - self._b_list[cols]
-            coef = y / self._gram_list[cols]
-            x_next = np.multiply(self.binv_rows[cols], omega * coef, out=out)
-            return np.subtract(x, x_next, out=x_next), 0.5 * y * coef
-        y = (self.A[cols] @ x[:, :, None])[:, :, 0] - self.b[cols]
-        coef = y / self._step_gram[cols]
-        step = ((coef * (omega / cols.shape[1]))[:, None, :] @ self.binv_rows[cols])[:, 0, :]
-        return np.subtract(x, step, out=out), 0.5 * y[:, 0] * coef[:, 0]
+            # Python floats and cached row views, bitwise equal to the stacked products
+            a_rows, v_rows, b, gram = self._a_rows, self._v_rows, self._b_list, self._gram_list
+            multiply, subtract, losses = np.multiply, np.subtract, []
+            for i, nxt in zip(cols, out):
+                y = float(a_rows[i].dot(x)) - b[i]
+                coef = y / gram[i]
+                multiply(v_rows[i], omega * coef, nxt)
+                subtract(x, nxt, nxt)
+                losses.append(0.5 * y * coef)
+                x = nxt
+            return out, losses
+        rows, v_rows, b, gram = self.A[cols], self.binv_rows[cols], self.b[cols], self._step_gram[cols]
+        loss, scale = np.empty((c, len(x))), omega / cols.shape[2]
+        for j in range(c):
+            y = (rows[j] @ x[:, :, None])[:, :, 0] - b[j]
+            coef = y / gram[j]
+            x = np.subtract(x, ((coef * scale)[:, None, :] @ v_rows[j])[:, 0, :], out=out[j])
+            loss[j] = 0.5 * y[:, 0] * coef[:, 0]
+        return out, loss
 
     def general_step(self, x: np.ndarray, sketches: np.ndarray, omega: float, out=None):
-        """Averaged sketched steps for one iteration, all rows of x at once.
+        """A chunk of averaged sketched steps, all rows of x at once.
 
-        ``x`` is (R, n) and ``sketches`` is an (R, tau, q) integer array of
-        index-set columns or an (R, tau, m, q) stack of dense sketches; row
-        r of the result is the mean of the tau steps from x[r] with the
-        sketches of row r. Returns (x_next, sketch_loss), the loss of each
-        row's first step; ``x_next`` is written to ``out`` when given.
+        ``x`` is the (R, n) start and ``sketches`` the chunk's
+        (c, R, tau, q) integer array of index-set columns or
+        (c, R, tau, m, q) stack of dense sketches. Iteration j steps from
+        the previous iterate (x for j = 0): row r becomes the mean of its
+        tau steps with the sketches [j, r], written to ``out[j]``.
+        Returns (out, loss), with the (c, R) loss of each row's first step.
 
-        An index-set sketch gathers its rows: S'A = A[cols] and
-        S'(Ax - b) = (Ax - b)[cols]. Column signs take no part because
-        D (D G D)^+ D = G^+ for a diagonal sign matrix D, and a one-column
-        set takes the closed-form step. A dense sketch is multiplied out.
-        Every q-by-q gram of the (R, tau) stack is pseudo-inverted at the
-        cutoff of :func:`pseudoinverse`.
+        One stacked pass first computes what the sketches alone fix: the
+        gathered rows S'A = A[cols] and b[cols] of index sets, or the
+        multiplied-out products of dense sketches, and every q-by-q gram
+        with its pseudoinverse at the cutoff of :func:`pseudoinverse`.
+        Each iteration then computes only the products with x, each on
+        the operands a one-iteration call gives it. Column signs take no
+        part because D (D G D)^+ D = G^+ for a diagonal sign matrix D,
+        and a one-column set takes the closed-form step.
         """
-        tau, q = sketches.shape[1], sketches.shape[-1]
-        if sketches.ndim == 4:
+        c, tau, q = sketches.shape[0], sketches.shape[2], sketches.shape[-1]
+        out = np.empty((c, *x.shape)) if out is None else out
+        loss = np.empty((c, len(x)))
+        dense = sketches.ndim == 5
+        if dense:
             s_t = sketches.swapaxes(-1, -2)
             v = self.binv_at @ sketches
             gram = s_t @ (self.A @ v)
-            y = (s_t @ (self.A @ x[:, :, None] - self.b[:, None])[:, None])[..., 0]
         else:
-            cols = sketches
-            rows = self.A[cols]
-            y = (rows @ x[:, None, :, None])[..., 0] - self.b[cols]
+            rows, b = self.A[sketches], self.b[sketches]
             if q == 1:
-                coef = y / self._step_gram[cols]
-                z = x[:, None] - (omega * coef) * self.binv_rows[cols[..., 0]]
-                return np.divide(z.sum(axis=1), tau, out=out), 0.5 * y[:, 0, 0] * coef[:, 0, 0]
-            v = self.binv_rows[cols].swapaxes(-1, -2)
+                gram, v_rows = self._step_gram[sketches], self.binv_rows[sketches[..., 0]]
+                for j in range(c):
+                    y = (rows[j] @ x[:, None, :, None])[..., 0] - b[j]
+                    coef = y / gram[j]
+                    z = x[:, None] - (omega * coef) * v_rows[j]
+                    x = np.divide(z.sum(axis=1), tau, out=out[j])
+                    loss[j] = 0.5 * y[:, 0, 0] * coef[:, 0, 0]
+                return out, loss
+            v = self.binv_rows[sketches].swapaxes(-1, -2)
             gram = rows @ v
-        u = _svd_pinv(_symmetrize(gram), _EPS * q) @ y[..., None]
-        z = x[:, None] - omega * (v @ u)[..., 0]
-        loss = 0.5 * (y[:, 0, None, :] @ u[:, 0])[:, 0, 0]
-        return np.divide(z.sum(axis=1), tau, out=out), loss
+        pinv = _svd_pinv(_symmetrize(gram), _EPS * q)
+        for j in range(c):
+            if dense:
+                y = (s_t[j] @ (self.A @ x[:, :, None] - self.b[:, None])[:, None])[..., 0]
+            else:
+                y = (rows[j] @ x[:, None, :, None])[..., 0] - b[j]
+            u = pinv[j] @ y[..., None]
+            z = x[:, None] - omega * (v[j] @ u)[..., 0]
+            x = np.divide(z.sum(axis=1), tau, out=out[j])
+            loss[j] = 0.5 * (y[:, 0, None, :] @ u[:, 0])[:, 0, 0]
+        return out, loss
 
 
 # a Workspace holds no reference to its problem, so an entry lives as long as the problem
@@ -265,18 +307,17 @@ def workspace(problem: Problem) -> Workspace:
 
 
 def _stack_sketches(groups) -> np.ndarray:
-    """R groups of tau :class:`SketchSample` as the one array :meth:`Workspace.general_step` takes.
+    """R groups of tau :class:`SketchSample` as the one-iteration chunk :meth:`Workspace.general_step` takes.
 
-    Index sets give their (R, tau, q) columns and dense sketches their
-    (R, tau, m, q) matrices; the groups must share one size, kind and q.
+    Index sets give their (1, R, tau, q) columns and dense sketches their
+    (1, R, tau, m, q) matrices; the groups must share one size, kind and q.
     """
     kinds = {(len(group), sketch.cols is None, sketch.q) for group in groups for sketch in group}
     if len(kinds) != 1:
         raise ValueError(f"groups must share one size, kind and q; got (tau, dense, q) in {sorted(kinds)}")
     ((tau, dense, q),) = kinds
-    if dense:
-        return np.array([sketch.matrix for group in groups for sketch in group]).reshape(len(groups), tau, -1, q)
-    return np.array([sketch.cols for group in groups for sketch in group]).reshape(len(groups), tau, q)
+    sketches = [sketch.matrix if dense else sketch.cols for group in groups for sketch in group]
+    return np.array(sketches).reshape((1, len(groups), tau, -1, q) if dense else (1, len(groups), tau, q))
 
 
 def basic_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.ndarray:
@@ -289,7 +330,7 @@ def parallel_step(problem: Problem, x, sketches, omega: float) -> np.ndarray:
     if len(sketches) < 1:
         raise ValueError("need at least one sketch")
     rows = _as_vector(x, problem.n)[None]
-    return workspace(problem).general_step(rows, _stack_sketches([list(sketches)]), float(omega))[0][0]
+    return workspace(problem).general_step(rows, _stack_sketches([list(sketches)]), float(omega))[0][0, 0]
 
 
 def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.ndarray:
@@ -323,41 +364,57 @@ def _within_tol(error_sq: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _chunk_rows(row_bytes: int) -> int:
-    """Iterations per chunk: the largest power of two, at most ``_MAX_CHUNK``,
-    whose rows of ``row_bytes`` each fit ``_CHUNK_BYTES``, and at least 1."""
-    rows = min(_MAX_CHUNK, max(1, _CHUNK_BYTES // row_bytes))
-    return 1 << (rows.bit_length() - 1)
+    """Iterations per chunk: the largest power of two whose rows of
+    ``row_bytes`` each fit ``_CHUNK_BYTES``, at least 1 and at most ``_MAX_CHUNK``."""
+    rows = max(1, _CHUNK_BYTES // row_bytes)
+    return min(_MAX_CHUNK, 1 << (rows.bit_length() - 1))
 
 
 def _sketch_steps(ws, dist, config, method, replications, tau, samples):
-    """The step (x, k, out) -> first sketch loss of iteration k.
+    """The step (x, k, c, out) -> first sketch losses of iterations k to k + c - 1.
 
-    It writes the mean sketched step from x to ``out``: rows x (n,) for
-    one replication, (R, n) blocks for more. Index-set families draw the
+    It writes the mean sketched step of iteration k + j to ``out[j]``,
+    each from the one before (x for j = 0): rows x (n,) for one
+    replication, (R, n) blocks for more. Index-set families draw the
     sketches of all R x tau streams up front, stream by stream, through
     one re-keyed Philox generator: Coordinate sampling maps the uniforms
     of :func:`uniforms` to row indices with one ``searchsorted``, and
     every other family takes its ``draw`` law. A run that ``config.tol``
     can stop early draws on demand: ``_FIRST_DRAWS`` per stream, then,
-    whenever they run out, a redraw from counter 0 at double the length
-    (capped at ``max_iters``) of which only the new part is kept. A
-    redraw repeats the earlier draws bit for bit, so the sketches are
-    those of one draw. Other runs draw all ``max_iters`` at once.
-    Coordinate sketches take :meth:`Workspace.coordinate_step`, on Python
-    integers for one stream and stacked for more; other index sets take
-    the stacked :meth:`Workspace.general_step` on their (R, tau, q)
-    columns. Gaussian sketches, which are dense, are drawn per iteration
-    from one generator per stream; these, or the given ``samples`` (one
-    replication), take one stacked :meth:`Workspace.general_step` per
-    iteration.
+    whenever a chunk runs past them, a redraw from counter 0 at double
+    the length (at least to the chunk's end, at most ``max_iters``) of
+    which only the new part is kept. A redraw repeats the earlier draws
+    bit for bit, so the sketches are those of one draw. Other runs draw
+    all ``max_iters`` at once. One-stream Coordinate sketches take one
+    :meth:`Workspace.coordinate_step` per chunk, on Python integers;
+    other index sets take the stacked kernel of their family on
+    (c, R, tau) or (c, R, tau, q) slices. Gaussian sketches, which are
+    dense, are drawn one per stream and iteration, in iteration order,
+    for each kernel call, and the given ``samples`` (one replication)
+    take one kernel call per iteration. A stacked kernel call spans as
+    many iterations as keep its largest stack, R x tau x q x max(n, m)
+    floats an iteration for dense sketches and R x tau x q x n for index
+    sets, within ``_CHUNK_BYTES``.
     """
     omega, k_max = config.omega, config.max_iters
+    n_reps, (m, n) = len(replications), ws.A.shape
 
-    def stacked(kernel, x, sketches, out):
-        if x.ndim == 2:
-            return kernel(x, sketches, omega, out)[1]
-        # a row vector steps as a one-row block
-        return kernel(x[None], sketches, omega, out[None])[1][0]
+    def stacked(kernel, sketches, span):
+        def step(x, k, c, out):
+            if x.ndim == 1:
+                # a row vector steps as a one-row block
+                return step(x[None], k, c, out[:, None])[:, 0]
+            losses = []
+            for j in range(0, c, span):
+                block, loss = kernel(x, sketches(k + j, min(span, c - j)), omega, out[j : j + span])
+                losses.append(loss)
+                x = block[-1]
+            return losses[0] if len(losses) == 1 else np.concatenate(losses)
+
+        return step
+
+    def span(q, dense=False):
+        return max(1, _CHUNK_BYTES // (8 * n_reps * tau * q * (max(n, m) if dense else n)))
 
     if samples is not None:
         if len(replications) != 1:
@@ -368,46 +425,52 @@ def _sketch_steps(ws, dist, config, method, replications, tau, samples):
         for k, group in enumerate(groups):
             if len(group) != tau:
                 raise ValueError(f"iteration {k}: expected {tau} sketches, got {len(group)}")
-        sketches = [_stack_sketches([group]) for group in groups]
-        return lambda x, k, out: stacked(ws.general_step, x, sketches[k], out)
+        chunks = [_stack_sketches([group]) for group in groups]
+        return stacked(ws.general_step, lambda k, d: chunks[k], 1)
     keys = stream_keys(
         config.master_seed, TRAJECTORY_STREAM, np.asarray(replications)[:, None], np.arange(tau)
     )
     if isinstance(dist, Gaussian):
         sources = [[generator(key) for key in row] for row in keys]
-        return lambda x, k, out: stacked(
-            ws.general_step, x, _stack_sketches([[dist.sample(g) for g in row] for row in sources]), out
-        )
+
+        def gaussian(k, d):
+            return np.array([[[dist.sample(g).matrix for g in row] for row in sources] for _ in range(d)])
+
+        return stacked(ws.general_step, gaussian, span(dist.q, dense=True))
 
     if isinstance(dist, Coordinate):
-        kernel, one = ws.coordinate_step, keys.size == 2
+        one = keys.size == 2
 
         def draw(start, stop):
             # (R, tau, stop) uniforms; searchsorted writes the (stop - start, R, tau)
             # indices contiguously
             block = dist.indices(uniforms(keys, stop)[..., start:].transpose(2, 0, 1))
-            return block.reshape(-1).tolist() if one else list(block)
+            return block.reshape(-1).tolist() if one else block
 
     else:
-        kernel, one, streams = ws.general_step, False, keys.reshape(-1, 2)
+        one, streams = False, keys.reshape(-1, 2)
 
         def draw(start, stop):
             # each stream's columns from counter 0, kept from start as (stop - start, R, tau, q)
             block = np.empty((stop - start, len(streams), dist.q), dtype=np.intp)
             for i, rng in enumerate(_rekeyed(streams)):
                 block[:, i] = dist.draw(rng, stop)[0][start:]
-            return list(block.reshape(stop - start, *keys.shape[:-1], dist.q))
+            return block.reshape(stop - start, *keys.shape[:-1], dist.q)
 
-    cols = draw(0, k_max if config.tol is None else min(k_max, _FIRST_DRAWS))
+    drawn = draw(0, k_max if config.tol is None else min(k_max, _FIRST_DRAWS))
 
-    def step(x, k, out):
-        if k == len(cols):
-            cols.extend(draw(k, min(2 * k, k_max)))
-        if one:
-            return ws.coordinate_step(x, cols[k], omega, out)[1]
-        return stacked(kernel, x, cols[k], out)
+    def sketches(k, d):
+        nonlocal drawn
+        if k + d > len(drawn):
+            more = draw(len(drawn), min(k_max, max(2 * len(drawn), k + d)))
+            drawn = drawn + more if one else np.concatenate((drawn, more))
+        return drawn[k : k + d]
 
-    return step
+    if one:
+        return lambda x, k, c, out: ws.coordinate_step(x, sketches(k, c), omega, out)[1]
+    if isinstance(dist, Coordinate):
+        return stacked(ws.coordinate_step, sketches, span(1))
+    return stacked(ws.general_step, sketches, span(dist.q))
 
 
 def run_trajectories(
@@ -481,13 +544,13 @@ def run_trajectories(
             c = min(chunk if tol is None else max(k, _FIRST_CHUNK), chunk, k_max - k)
             rows = path[: c + 1] if iterates is None else path[k : k + c + 1]
             if method != "accelerated":
-                losses = [step(rows[j], k + j, rows[j + 1]) for j in range(c)]
+                losses = step(rows[0], k, c, rows[1:])
                 if sketch_loss is not None:
                     sketch_loss[k : k + c] = losses
             else:
                 for j in range(c):
                     z = z_path[(k + j) % 2]
-                    step(rows[j], k + j, z)
+                    step(rows[j], k + j, 1, z[None])
                     if k + j == 0:
                         rows[1] = second
                     else:

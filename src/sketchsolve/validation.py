@@ -703,8 +703,10 @@ def check_accelerated_mean(
     lam = spectrum.lambdas_raw
     e_coef = gamma * (1.0 - omega * lam)
     f_coef = (1.0 - gamma) * (1.0 - omega * lam)
-    # positive eigenvalues only; a component with E = F = 0 is annihilated after two steps
-    live = (lam > spectrum.rank_threshold) & ~((e_coef == 0.0) & (f_coef == 0.0))
+    # positive eigenvalues only; a component with E = F = 0, where w lambda = 1, is
+    # annihilated after two steps. lambda <= lambda_max = 1/w, so a computed w lambda
+    # above 1 (real roots) is roundoff of w lambda = 1 and annihilated too
+    live = (lam > spectrum.rank_threshold) & (omega * lam < 1.0)
     e_coef, f_coef, w0 = e_coef[live], f_coef[live], w0[live]
     worst_root = max(
         np.max(e_coef * e_coef + 4.0 * f_coef, initial=-np.inf),  # must be negative (complex roots)

@@ -208,6 +208,23 @@ class TestCliCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failed_checks"] == []
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_validate_fixed_identity_accelerated_decay(self, tmp_path, capsys, seed):
+        # W = I puts w lambda within roundoff of 1, where the recurrence has real
+        # roots; such a component is annihilated, not a closed-form error
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "gaussian-consistent", "rows": 40, "cols": 8, "seed": 1},
+            distribution={"kind": "fixed-identity"},
+            replications=12,
+            iterations=60,
+            checks=["theorem:accelerated-mean-decay"],
+        )
+        out = tmp_path / "out"
+        assert main(["validate", str(cfg), "--seed", str(seed), "--output-dir", str(out)]) in (0, 1)
+        assert json.loads((out / "summary.json").read_text())["seed"] == seed
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -327,6 +327,42 @@ class TestStackedExpectations:
         assert info.kind == "monte-carlo"
         assert _relative_gap(ez, np.mean(draws, axis=0)) <= 1e-12
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity-B", "dense-B"])
+    @pytest.mark.parametrize(
+        "family", ["kaczmarz", "block-1", "block-3", "countsketch-1", "countsketch-3", "countmin-2"]
+    )
+    def test_monte_carlo_index_draws_match_the_per_sample_loop(self, family, weighted, monkeypatch):
+        # one bulk draw and chunked stacks give, bit for bit, the estimate of
+        # one sample, gram and update at a time
+        from sketchsolve import reformulation
+        from sketchsolve.linalg import _symmetrize
+        from sketchsolve.reformulation import EXPECTATION_STREAM, _gram_pinvs, _sketched_rows, _weighted_z_sum
+
+        problem = random_problem(stream(43, 0), 12, 6, weighted)
+        a, metric, m = problem.A, problem.metric, problem.m
+        dist = {
+            "kaczmarz": kaczmarz_distribution(a),
+            "block-1": Block(m, 1),
+            "block-3": Block(m, 3),
+            "countsketch-1": CountSketch(m, 1),
+            "countsketch-3": CountSketch(m, 3),
+            "countmin-2": CountMin(m, 2),
+        }[family]
+        rng, n_samples = stream(44, EXPECTATION_STREAM), 50
+        mean, m2, one = np.zeros((6, 6)), np.zeros((6, 6)), np.ones(1)
+        for k in range(1, n_samples + 1):
+            rows = _sketched_rows(a, dist.sample(rng))
+            z = _symmetrize(_weighted_z_sum(rows, _gram_pinvs(rows, metric), one))
+            delta = z - mean
+            mean += delta / k
+            m2 += delta * (z - mean)
+        se_norm = float(np.linalg.norm(np.sqrt(m2 / (n_samples * (n_samples - 1))), 2))
+        # chunks of 7 draws
+        monkeypatch.setattr(reformulation, "_CHUNK_BYTES", 7 * 8 * dist.q * 6)
+        ez, info = expected_Z(a, metric, dist, n_samples=n_samples, seed=44, support_cap=1)
+        assert info.kind == "monte-carlo" and info.se_norm == se_norm
+        assert ez.tobytes() == _symmetrize(mean).tobytes()
+
 
 class TestSpectrum:
     def test_identity_sketch_condition_one(self):

@@ -26,12 +26,16 @@ CHI2_9999 = {1: 15.137, 2: 18.421, 3: 21.108, 5: 25.745, 9: 33.720}
 
 
 def empirical_counts(dist, draws, seed=0):
-    rng = stream(seed, 9, 0)
-    counts = {}
-    for _ in range(draws):
-        key = dist.sample(rng).key
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Draws per ``SketchSample.key``, all taken by one ``draw`` (bit-equal to ``draws`` samples)."""
+    cols, signs = dist.draw(stream(seed, 9, 0), draws)
+    signs = np.ones_like(cols) if signs is None else signs
+    # a key is its (column, sign) pairs in sorted order: sort each row by 2 * column + (sign > 0)
+    pairs = np.sort(2 * cols + (signs > 0), axis=1)
+    rows, counts = np.unique(pairs, axis=0, return_counts=True)
+    return {
+        tuple(zip((row // 2).tolist(), (2 * (row % 2) - 1).tolist())): int(count)
+        for row, count in zip(rows, counts)
+    }
 
 
 def chi2_statistic(dist, draws, seed=0):

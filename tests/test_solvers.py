@@ -113,7 +113,8 @@ class TestGeneralStep:
                 sketch = dist.sample(rng)
                 assert sketch.cols is not None
                 omega = float(rng.uniform(0.2, 1.9))
-                x_next, loss = ws.general_step(x[None], _stack_sketches([[sketch]]), omega)
+                (x_next,), (loss,) = ws.general_step(x[None], _stack_sketches([[sketch]]), omega)
+                x_next, loss = x_next[0], loss[0]
                 dense_next, dense_loss = self.dense_step(problem, x, sketch, omega)
                 scale = max(np.linalg.norm(x), np.linalg.norm(dense_next))
                 assert np.linalg.norm(x_next - dense_next) <= 1e-12 * scale
@@ -131,7 +132,7 @@ class TestGeneralStep:
             for dist in (CountSketch(m, 3), CountSketch(m, 1), Block(m, q), Gaussian(m, 2)):
                 groups = [[dist.sample(rng) for _ in range(2)] for _ in range(2)]
                 omega = float(rng.uniform(0.2, 1.9))
-                x_next, loss = ws.general_step(x, _stack_sketches(groups), omega)
+                (x_next,), (loss,) = ws.general_step(x, _stack_sketches(groups), omega)
                 assert x_next.shape == x.shape and loss.shape == (2,)
                 for r, group in enumerate(groups):
                     steps = [self.dense_step(problem, x[r], sketch, omega) for sketch in group]

@@ -10,8 +10,12 @@ draw boundary keep the on-demand draw bound, and that the chunk length
 rule keeps a chunk within its byte budget. The first two hold under
 Kaczmarz sampling, whose uniforms are drawn on demand, and under the
 Block and CountSketch families, whose ``draw`` is called on demand.
+Every family's traces, for every method, with and without ``tol``,
+stay bit for bit those of the default chunks when the chunk constants
+force chunks (and kernel calls) of 1, 3 or 64 iterations.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -20,7 +24,16 @@ import pytest
 from sketchsolve import solvers
 from sketchsolve.linalg import Problem, SpdMatrix
 from sketchsolve.problems import gaussian_consistent
-from sketchsolve.sketching import Block, CountSketch, kaczmarz_distribution, stream, uniforms
+from sketchsolve.sketching import (
+    Block,
+    CountMin,
+    CountSketch,
+    FixedIdentity,
+    Gaussian,
+    kaczmarz_distribution,
+    stream,
+    uniforms,
+)
 from sketchsolve.solvers import SolverConfig, run_trajectories
 
 SEED = 11
@@ -38,11 +51,21 @@ def setup(dense: bool):
 
 
 FAMILIES = ["kaczmarz", "block", "countsketch"]
+ALL_FAMILIES = FAMILIES + ["block-replacement", "countmin", "fixed-identity", "gaussian"]
 
 
 def distribution(family, dense: bool):
     problem, kaczmarz, _, _ = setup(dense)
-    return {"kaczmarz": kaczmarz, "block": Block(problem.m, 3), "countsketch": CountSketch(problem.m, 3)}[family]
+    m = problem.m
+    return {
+        "kaczmarz": kaczmarz,
+        "block": Block(m, 3),
+        "countsketch": CountSketch(m, 3),
+        "block-replacement": Block(m, 3, with_replacement=True),
+        "countmin": CountMin(m, 3),
+        "fixed-identity": FixedIdentity(m),
+        "gaussian": Gaussian(m, 2),
+    }[family]
 
 
 def _start_error(problem, x0):
@@ -90,6 +113,32 @@ def test_tol_stop_inside_a_chunk_equals_the_budget_run(family, method, reps, den
     for got, want in zip(stopped, budget, strict=True):
         _assert_same(got, want)
         assert want.converged is None
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("reps", [(0,), (0, 1, 2)])
+@pytest.mark.parametrize("method", ["basic", "parallel", "accelerated"])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_chunk_boundaries_change_no_bit(monkeypatch, family, method, reps, stop, rows):
+    problem, _, x0, x1 = setup(True)
+    dist = distribution(family, True)
+    # a tol run records its iterates; a run without one steps in the reused chunk buffer
+    record = ("error_sq", "iterates") if stop else ("error_sq",)
+    config = SolverConfig(omega=1.0, tau=2, gamma=1.2, max_iters=100, master_seed=SEED, record=record)
+    if stop:
+        free = _traces(problem, dist, config, method, reps, x0, x1)
+        worst = np.max([trace.error_sq for trace in free], axis=0)
+        config = dataclasses.replace(config, max_iters=1000, tol=float(np.sqrt(worst[70])))
+    want = _traces(problem, dist, config, method, reps, x0, x1)
+    # _CHUNK_BYTES = 1 makes every chunk and kernel call one iteration; a large
+    # budget leaves the chunk length to _MAX_CHUNK
+    monkeypatch.setattr(solvers, "_CHUNK_BYTES", 1 if rows == 1 else 1 << 40)
+    monkeypatch.setattr(solvers, "_MAX_CHUNK", rows)
+    got = _traces(problem, dist, config, method, reps, x0, x1)
+    for g, w in zip(got, want, strict=True):
+        _assert_same(g, w)
+        assert g.converged == w.converged
 
 
 @pytest.mark.parametrize("reps", [(0,), (0, 1, 2)])
@@ -166,15 +215,15 @@ def test_a_short_solve_steps_one_first_chunk(monkeypatch):
     problem, dist, x0, _ = setup(False)
     free = SolverConfig(omega=0.9, max_iters=3, master_seed=SEED)
     error_sq = run_trajectories(problem, dist, free, "basic", (0,), x0)[0].error_sq
-    calls = []
+    steps = []
     original = solvers.Workspace.coordinate_step
 
-    def counting(self, *args):
-        calls.append(1)
-        return original(self, *args)
+    def counting(self, x, cols, *args):
+        steps.append(len(cols))
+        return original(self, x, cols, *args)
 
     monkeypatch.setattr(solvers.Workspace, "coordinate_step", counting)
     config = SolverConfig(omega=0.9, max_iters=1000, master_seed=SEED, tol=float(np.sqrt(error_sq[3])))
     assert len(run_trajectories(problem, dist, config, "basic", (0,), x0)[0].error_sq) == 4
     # the first chunk of a tol run is short, so a quick stop steps little past it
-    assert len(calls) == solvers._FIRST_CHUNK
+    assert sum(steps) == solvers._FIRST_CHUNK
