@@ -8,10 +8,12 @@ Subcommands:
 * ``diagnose <config>`` spectrum and exactness only
 * ``validate <config>`` full numerical validation suite
 
-Artifacts are byte-deterministic for a fixed (config, seed): floats are
-written in shortest round-trip form, keys are sorted, and row order is
-fixed. The only wall-clock text is the one generated_at line in
-summary.json. ``--threads`` is accepted and changes nothing.
+Artifacts are byte-deterministic for a fixed (config, seed) on the same
+numpy/BLAS build and BLAS thread count (a multi-threaded BLAS may round
+differently): floats are written in shortest round-trip form, keys are
+sorted, and row order is fixed. The only wall-clock text is the one
+generated_at line in summary.json. ``--threads`` is accepted and
+changes nothing; it does not set the BLAS thread count.
 
 Exit codes: 0 all enabled checks passed, 1 a check failed, 2 invalid
 input (including a system whose expected operator sees nothing).

@@ -151,6 +151,15 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
     if iterations < 1:
         raise ConfigError("<root>.iterations", "must be at least 1")
 
+    expectation_samples = _get(
+        raw, "expectation_samples", "<root>", int, required=False, default=DEFAULT_EXPECTATION_SAMPLES
+    )
+    support_cap = _get(raw, "support_cap", "<root>", int, required=False, default=DEFAULT_SUPPORT_CAP)
+    if expectation_samples < 1:
+        raise ConfigError("<root>.expectation_samples", "must be at least 1")
+    if support_cap < 0:
+        raise ConfigError("<root>.support_cap", "must be non-negative")
+
     checks = _get(raw, "checks", "<root>", list, required=False)
     if checks is not None and not all(isinstance(c, str) for c in checks):
         raise ConfigError("<root>.checks", "must be a list of check names")
@@ -163,10 +172,8 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
         solvers=list(solvers),
         replications=int(replications),
         iterations=int(iterations),
-        expectation_samples=int(
-            _get(raw, "expectation_samples", "<root>", int, required=False, default=DEFAULT_EXPECTATION_SAMPLES)
-        ),
-        support_cap=int(_get(raw, "support_cap", "<root>", int, required=False, default=DEFAULT_SUPPORT_CAP)),
+        expectation_samples=int(expectation_samples),
+        support_cap=int(support_cap),
         checks=checks,
         output_dir=_get(raw, "output_dir", "<root>", str, required=False),
     )

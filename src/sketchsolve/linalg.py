@@ -89,7 +89,16 @@ def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, rel_tol: float)
 
 
 def _svd_pinv(a: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Pseudoinverse of a matrix, or of each matrix in an (..., r, c) stack."""
+    """Pseudoinverse of a matrix, or of each matrix in an (..., r, c) stack.
+
+    A 1-by-1 [g] is inverted as 1/g under the same cutoff (+0 where it
+    drops g, as at g = 0): the SVD's result bit for bit at zero and
+    subnormal g and for 6.72e-139 <= |g| <= 1.49e138, where LAPACK does
+    not rescale, and within 2 ulps of it elsewhere.
+    """
+    if a.shape[-2:] == (1, 1):
+        s = np.abs(a)
+        return np.divide(1.0, a, out=np.zeros(a.shape), where=s > rel_tol * s)
     return _pinv_from_svd(*np.linalg.svd(a, full_matrices=False), rel_tol)
 
 

@@ -25,12 +25,14 @@ contraction per chunk and E[H] as a scatter-add of the q-by-q blocks
 p G^+. A Monte Carlo E[Z] over an index family takes all its sketches
 from one ``draw`` call and stacks their rows and grams the same way,
 with one Z and one running-mean update per draw, in draw order.
-``sketched_system`` builds the full per-sketch operators and is the
-reference the expectations are tested against.
+``sketched_system`` keeps one sketch's factors A'S and G^+, forms its
+H and Z only when they are read, and is the reference the expectations
+are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,20 +87,33 @@ class TooFewSamplesError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SketchedSystem:
-    """Operators induced by one sketch of a weighted linear system."""
+    """Operators induced by one sketch of a weighted linear system.
+
+    The loss, gradient and projection read only ``compressed_map`` and
+    ``gram_pinv``; the m-by-m ``H`` and n-by-n ``Z`` are formed from
+    them on first read, read-only.
+    """
 
     A: np.ndarray
     b: np.ndarray
     metric: SpdMatrix
     sketch: SketchSample
-    H: np.ndarray
-    Z: np.ndarray
     compressed_map: np.ndarray  # A'S, cached for gradient evaluations
     gram_pinv: np.ndarray  # (S'A B^{-1} A'S)^+
 
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        s = self.sketch.matrix
+        return _readonly(_symmetrize(s @ self.gram_pinv @ s.T))
+
+    @functools.cached_property
+    def Z(self) -> np.ndarray:
+        c = self.compressed_map
+        return _readonly(_symmetrize(c @ self.gram_pinv @ c.T))
+
 
 def sketched_system(A, b, metric: SpdMatrix, sketch: SketchSample) -> SketchedSystem:
-    """Assemble H and Z for one sketch.
+    """The factors of one sketch's operators: A'S and the gram pseudoinverse.
 
     ``A`` is m by n, ``metric`` is the n by n SPD weighting, and the
     sketch matrix must have m rows. A sketch with S'A = 0 is legal and
@@ -114,15 +129,11 @@ def sketched_system(A, b, metric: SpdMatrix, sketch: SketchSample) -> SketchedSy
     compressed = a.T @ s
     gram = _symmetrize(compressed.T @ metric.inv @ compressed)
     gram_pinv = _symmetrize(pseudoinverse(gram))
-    h = _symmetrize(s @ gram_pinv @ s.T)
-    z = _symmetrize(compressed @ gram_pinv @ compressed.T)
     return SketchedSystem(
         A=a,
         b=rhs,
         metric=metric,
         sketch=sketch,
-        H=_readonly(h),
-        Z=_readonly(z),
         compressed_map=_readonly(compressed),
         gram_pinv=_readonly(gram_pinv),
     )

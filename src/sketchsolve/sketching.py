@@ -396,7 +396,7 @@ class Coordinate(SketchDistribution):
         if p.size < 1 or np.any(p < 0) or not np.all(np.isfinite(p)):
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}, expected 1")
         self.m, self.q = int(p.size), 1
         self.probabilities = p.copy()
         self.probabilities.flags.writeable = False

@@ -339,18 +339,20 @@ def prox_step(problem: Problem, x, sketch: SketchSample, omega: float) -> np.nda
     Solves the regularized normal equations
     (mu B + A'HA) z = A'H b + mu B x with mu = (1 - omega)/omega by a
     dense factorization; at omega = 1 the regularization vanishes and
-    the step returns the projection onto the compressed solution set.
+    the step is the projection x - B^{-1} C G^+ S'(Ax - b) onto the
+    compressed solution set, from the same dense factors C = A'S and
+    G^+ = (C' B^{-1} C)^+, not from the step kernel.
     """
     omega = float(omega)
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"prox step requires 0 < omega <= 1, got {omega}")
     v = _as_vector(x, problem.n)
-    if omega == 1.0:
-        return basic_step(problem, v, sketch, 1.0)
     s = sketch.matrix
     c = problem.A.T @ s
     gram = _symmetrize(s.T @ (problem.A @ (problem.metric.inv @ c)))
     gram_pinv = pseudoinverse(gram)
+    if omega == 1.0:
+        return v - problem.metric.inv @ (c @ (gram_pinv @ (s.T @ (problem.A @ v - problem.b))))
     z_op = c @ gram_pinv @ c.T
     mu = (1.0 - omega) / omega
     lhs = z_op + mu * problem.metric.mat

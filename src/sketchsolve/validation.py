@@ -43,6 +43,7 @@ from .reformulation import (
     _gram_pinvs,
     _weighted_z_sum,
     build_reformulation,
+    expected_Z,
     sketched_projection,
     sketched_system,
     stochastic_gradient,
@@ -157,13 +158,13 @@ def _gap(worst: float, slack: float = 0.0, **details):
 
 
 def _random_instance(rng):
-    """Random (problem, dense sketch) pair of small dimensions."""
+    """Random consistent (A, b, B, dense sketch) of small dimensions, b = A x_planted."""
     m, n, q = int(rng.integers(2, 7)), int(rng.integers(2, 7)), int(rng.integers(1, 4))
     a = rng.standard_normal((m, n))
     x_planted = rng.standard_normal(n)
     base = rng.standard_normal((n, n))
     metric = SpdMatrix(base @ base.T + 2.0 * np.eye(n))
-    return Problem(a, a @ x_planted, metric), SketchSample(rng.standard_normal((m, q)))
+    return a, a @ x_planted, metric, SketchSample(rng.standard_normal((m, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +186,14 @@ def check_sketch_identities(options: ValidationOptions):
     worst = 0.0
     tol = 1e-8
     for _ in range(options.instances):
-        problem, sample = _random_instance(rng)
-        sys = sketched_system(problem.A, problem.b, problem.metric, sample)
-        x = rng.standard_normal(problem.n)
+        a, b, metric, sample = _random_instance(rng)
+        sys = sketched_system(a, b, metric, sample)
+        x = rng.standard_normal(metric.dim)
         grad = stochastic_gradient(sys, x)
         scale = max(1.0, float(np.linalg.norm(grad)))
-        hessian = problem.metric.inv @ sys.Z
+        hessian = metric.inv @ sys.Z
         hess_grad = hessian @ grad
-        pinv_grad = b_pseudoinverse(hessian, problem.metric) @ grad
+        pinv_grad = b_pseudoinverse(hessian, metric) @ grad
         proj_diff = x - sketched_projection(sys, x)
         worst = max(
             worst,
@@ -201,7 +202,7 @@ def check_sketch_identities(options: ValidationOptions):
             float(np.linalg.norm(proj_diff - grad)) / scale,
         )
         value = stochastic_value(sys, x)
-        half_grad_sq = 0.5 * problem.metric.norm_sq(grad)
+        half_grad_sq = 0.5 * metric.norm_sq(grad)
         worst = max(worst, abs(value - half_grad_sq) / max(1.0, value))
         worst = max(worst, stochastic_value(sys, x - grad) / max(1.0, value))
     return _within(worst, tol, instances=options.instances, worst_residual=worst)
@@ -217,11 +218,11 @@ def check_kaczmarz_expected_operator(options: ValidationOptions):
     for _ in range(trials):
         m, n = int(rng.integers(2, 8)), int(rng.integers(2, 8))
         a = rng.standard_normal((m, n))
-        problem = Problem(a, a @ rng.standard_normal(n))
-        reform = build_reformulation(problem, kaczmarz_distribution(a))
+        rng.standard_normal(n)  # a planted solution: unused, drawn to keep the draw order
+        ez, _ = expected_Z(a, SpdMatrix.identity(n), kaczmarz_distribution(a))
         target = a.T @ a / float(np.sum(a * a))
         scale = max(1.0, float(np.abs(target).max()))
-        worst = max(worst, float(np.abs(reform.expected_Z - target).max()) / scale)
+        worst = max(worst, float(np.abs(ez - target).max()) / scale)
     return _within(worst, tol, instances=trials, worst_residual=worst)
 
 
@@ -233,7 +234,8 @@ def check_prox_equivalence(options: ValidationOptions):
     worst = 0.0
     trials = max(20, options.instances // 2)
     for _ in range(trials):
-        problem, sample = _random_instance(rng)
+        a, b, metric, sample = _random_instance(rng)
+        problem = Problem(a, b, metric)
         x = rng.standard_normal(problem.n)
         for omega in (0.1, 0.5, 0.9, 1.0):
             direct = basic_step(problem, x, sample, omega)

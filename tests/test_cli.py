@@ -323,6 +323,10 @@ class TestCliCommands:
                 {"distribution": {"kind": "block", "block_size": 1, "with_replacement": "false"}},
                 "distribution.with_replacement",
             ),
+            # out of range, though an enumerable support never reads them
+            ({"expectation_samples": 0}, "<root>.expectation_samples"),
+            ({"expectation_samples": -5}, "<root>.expectation_samples"),
+            ({"support_cap": -1}, "<root>.support_cap"),
         ],
     )
     def test_wrong_typed_fields_exit_two(self, tmp_path, overrides, field):
@@ -557,6 +561,24 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {field}:")
         assert "Traceback" not in proc.stderr
+
+    def test_zero_support_cap_forces_monte_carlo(self, tmp_path):
+        path = write_config(tmp_path, support_cap=0, expectation_samples=50)
+        assert main(["diagnose", str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        diagnostics = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
+        assert diagnostics["estimation"]["kind"] == "monte-carlo"
+        assert diagnostics["estimation"]["n_samples"] == 50
+
+    def test_probability_sum_is_printed_as_a_number(self, tmp_path):
+        path = write_config(tmp_path, distribution={"kind": "coordinate", "probabilities": [0.7, 0.7]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "sketchsolve.cli", "diagnose", str(path), "--output-dir", str(tmp_path / "o")],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: distribution: probabilities sum to 1.4, expected 1\n"
 
     def test_one_replication_runs_without_monte_carlo_checks(self, tmp_path, capsys):
         cfg = json.loads((ROOT / "demos" / "reference_config.json").read_text())

@@ -5,6 +5,8 @@ from sketchsolve.linalg import (
     InconsistentSystemError,
     Problem,
     SpdMatrix,
+    _pinv_from_svd,
+    _svd_pinv,
     b_pseudoinverse,
     pseudoinverse,
     sym_eigendecomposition,
@@ -48,6 +50,55 @@ class TestPseudoinverse:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             pseudoinverse(np.eye(2), rel_tol=1.5)
+
+
+def svd_route(a, rel_tol):
+    """The SVD pseudoinverse that 1-by-1 matrices no longer take, kept as the oracle."""
+    return _pinv_from_svd(*np.linalg.svd(a, full_matrices=False), rel_tol)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestOneByOnePseudoinverse:
+    # LAPACK leaves a matrix unscaled when its norm lies in [sqrt(tiny) / eps, eps / sqrt(tiny)],
+    # about [6.72e-139, 1.49e138]: there, and at zero and subnormal g, the routes agree bit for bit
+    G = [2.5, -3.0, 1 / 3, -0.1, 7.0, 1e-100, -1e100, 1.4e138, -6.8e-139, 5e-324, -5e-324, 1e-310, 2e-308, 0.0, -0.0]
+
+    @pytest.mark.parametrize("rel_tol", [np.finfo(float).eps, 1e-8, 0.5, 0.999])
+    def test_equals_svd_route_bitwise(self, rel_tol):
+        rng = stream(12, 0)
+        g = np.concatenate(
+            [self.G, rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-138.1, 138.1, 2000)]
+        )
+        stack = g[:, None, None]
+        with np.errstate(over="ignore"):  # 1/g overflows to inf below 5.6e-309, on both routes
+            expected = svd_route(stack, rel_tol)
+            assert np.array_equal(bits(_svd_pinv(stack, rel_tol)), bits(expected))
+            nested = _svd_pinv(stack.reshape(5, -1, 1, 1), rel_tol)
+            assert np.array_equal(bits(nested), bits(expected).reshape(5, -1, 1, 1))
+            for k in range(len(self.G)):
+                assert bits(pseudoinverse(stack[k], rel_tol)) == bits(expected[k])
+
+    def test_zero_gives_positive_zero(self):
+        for g in (0.0, -0.0):
+            assert bits(pseudoinverse([[g]])) == bits(0.0)
+            assert bits(svd_route(np.array([[g]]), 1e-15)) == bits(0.0)
+        # the default cutoff drops nothing else, not even the smallest subnormal
+        with np.errstate(over="ignore"):
+            assert pseudoinverse([[5e-324]])[0, 0] == np.inf
+            assert pseudoinverse([[-5e-324]])[0, 0] == -np.inf
+
+    def test_rescaled_range_is_the_correctly_rounded_reciprocal(self):
+        rng = stream(13, 0)
+        g = rng.choice([-1.0, 1.0], 4000) * np.concatenate(
+            [10.0 ** rng.uniform(-307.6, -138.2, 2000), 10.0 ** rng.uniform(138.2, 308.2, 2000)]
+        )
+        stack = g[:, None, None]
+        got = _svd_pinv(stack, 1e-15)
+        assert np.array_equal(bits(got), bits(1.0 / stack))
+        assert np.abs(bits(got) - bits(svd_route(stack, 1e-15))).max() <= 2
 
 
 class TestEigendecomposition:

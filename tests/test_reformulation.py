@@ -81,6 +81,32 @@ class TestSketchedSystem:
         with pytest.raises(ValueError):
             sketched_system(np.eye(2), np.ones(2), SpdMatrix.identity(2), SketchSample(np.ones((3, 1))))
 
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_lazy_operators_equal_eager_expressions_bitwise(self, dense):
+        from sketchsolve.linalg import _symmetrize, pseudoinverse
+
+        rng = stream(24, 0)
+        for _ in range(30):
+            problem = random_problem(rng)
+            q = int(rng.integers(1, min(problem.m, 3) + 1))
+            if dense:
+                s = SketchSample(rng.standard_normal((problem.m, q)))
+            else:
+                s = SketchSample(cols=tuple(rng.choice(problem.m, q, replace=False)), m=problem.m)
+            sys = sketched_system(problem.A, problem.b, problem.metric, s)
+            assert "H" not in vars(sys) and "Z" not in vars(sys)
+            # the eager reference: H and Z formed at once from the same factors
+            c = problem.A.T @ s.matrix
+            gram_pinv = _symmetrize(pseudoinverse(_symmetrize(c.T @ problem.metric.inv @ c)))
+            h = _symmetrize(s.matrix @ gram_pinv @ s.matrix.T)
+            z = _symmetrize(c @ gram_pinv @ c.T)
+            assert sys.H.tobytes() == h.tobytes() and sys.Z.tobytes() == z.tobytes()
+            assert sys.H is sys.H and sys.Z is sys.Z
+            for op in (sys.H, sys.Z):
+                assert not op.flags.writeable
+                with pytest.raises(ValueError):
+                    op[0, 0] = 1.0
+
 
 class TestStochasticValue:
     def test_zero_on_solutions(self):

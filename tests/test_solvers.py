@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sketchsolve import solvers
 from sketchsolve.linalg import Problem, SpdMatrix, _symmetrize, pseudoinverse
 from sketchsolve.reformulation import build_reformulation, sketched_projection, sketched_system
 from sketchsolve.sketching import (
@@ -296,6 +297,21 @@ class TestProx:
         sys = sketched_system(problem.A, problem.b, problem.metric, s)
         x = rng.standard_normal(problem.n)
         assert np.allclose(prox_step(problem, x, s, 1.0), sketched_projection(sys, x))
+
+    def test_unit_stepsize_is_computed_apart_from_the_step_kernel(self, monkeypatch):
+        # proximal equivalence at omega = 1 compares two computations, not basic_step with itself
+        rng = stream(52, 0)
+        problem = random_problem(rng)
+        s = SketchSample(rng.standard_normal((problem.m, 2)))
+        x = rng.standard_normal(problem.n)
+        direct = basic_step(problem, x, s, 1.0)
+
+        def no_kernel(*args):
+            raise AssertionError("prox_step reached the step kernel")
+
+        monkeypatch.setattr(solvers, "basic_step", no_kernel)
+        monkeypatch.setattr(solvers, "workspace", no_kernel)
+        assert np.linalg.norm(prox_step(problem, x, s, 1.0) - direct) <= 1e-10 * max(1.0, np.linalg.norm(direct))
 
     def test_small_stepsize_stays_near_start(self):
         rng = stream(52, 0)

@@ -255,3 +255,23 @@ def test_calls_share_no_experiments(reference, mc_calls):
     again = run_validation(other, other_reform, MC_OPTIONS, list(PROBLEM_CHECKS))
     assert len(mc_calls) == 7 and all(p is other for p, *_ in mc_calls)
     assert _outcomes(again) == _outcomes(first)
+
+
+def test_kaczmarz_check_reads_the_reformulation_expected_Z(monkeypatch):
+    # the check takes E[Z] straight from expected_Z; build_reformulation gives the same bits
+    calls = []
+    original = validation.expected_Z
+
+    def recorded(a, metric, dist, **kwargs):
+        out = original(a, metric, dist, **kwargs)
+        calls.append((a, out[0]))
+        return out
+
+    monkeypatch.setattr(validation, "expected_Z", recorded)
+    for options in (OPTIONS, ValidationOptions(seed=20240801)):
+        calls.clear()
+        result = LIBRARY_CHECKS["identity:kaczmarz-expected-operator"](options)
+        assert result.passed and len(calls) == result.details["instances"] > 0
+        for a, ez in calls:
+            reform = build_reformulation(Problem(a, a @ np.ones(a.shape[1])), kaczmarz_distribution(a))
+            assert ez.tobytes() == reform.expected_Z.tobytes()
